@@ -18,10 +18,11 @@ DivMaskRuler::DivMaskRuler(std::size_t nvars) : bits_(nvars, 0), offset_(nvars, 
 
 std::uint64_t DivMaskRuler::mask(const Monomial& m) const {
   std::uint64_t out = 0;
+  const std::uint32_t* exps = m.exps();
   for (std::size_t v = 0; v < bits_.size(); ++v) {
     std::uint32_t b = bits_[v];
     if (b == 0) continue;
-    std::uint32_t e = m.exp(v);
+    std::uint32_t e = exps[v];
     std::uint32_t ones = e < b ? e : b;
     // `ones` low ones of this variable's field: thresholds 1..ones are met.
     out |= ((std::uint64_t{1} << ones) - 1) << offset_[v];

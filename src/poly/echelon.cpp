@@ -47,14 +47,15 @@ Polynomial sweep_row_zp(const PolyContext& ctx, const SymbolicFrame& frame,
       std::int32_t pv = frame.pivot_of_col[c];
       if (pv < 0) continue;
       const ZpPivotRow& prow = mat.zp_pivots[static_cast<std::size_t>(pv)];
+      const std::vector<std::uint32_t>& pcols = frame.pivots[static_cast<std::size_t>(pv)].cols;
       // prow is monic with head at column c: the head cancels exactly.
       (*acc)[c] = 0;
-      for (std::size_t j = 1; j < prow.cols.size(); ++j) {
-        std::uint64_t& cell = (*acc)[prow.cols[j]];
+      for (std::size_t j = 1; j < pcols.size(); ++j) {
+        std::uint64_t& cell = (*acc)[pcols[j]];
         cell = field.sub_canonical(cell, field.mul_canonical(Zp{prow.mont[j]}, f));
       }
       tally->axpys += 1;
-      CostCounter::charge(prow.cols.size());
+      CostCounter::charge(pcols.size());
     }
   }
   tally->dense_cells += ncols;
@@ -115,7 +116,7 @@ Polynomial sweep_row_zp_simd(const PolyContext& ctx, const SymbolicFrame& frame,
     tally->axpys += 1;
     tally->simd_cells += runs.coeffs.size();
     tally->simd_runs += runs.runs.size();
-    // Identical unit charge to the scalar kernel's prow.cols.size():
+    // Identical unit charge to the scalar kernel's pivot length:
     // head (1) + tail (the concatenated run payload).
     CostCounter::charge(runs.coeffs.size() + 1);
   }

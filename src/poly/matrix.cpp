@@ -5,34 +5,26 @@
 
 namespace gbd {
 
-namespace {
-
-MatrixRow expand_row(const SymbolicFrame& frame, const Polynomial& p) {
-  MatrixRow row;
-  row.cols.reserve(p.nterms());
-  row.coeffs.reserve(p.nterms());
-  for (const Term& t : p.terms()) {
-    std::int64_t c = frame.col_of(t.mono);
-    GBD_CHECK_MSG(c >= 0, "build_matrix: row monomial missing from frame");
-    row.cols.push_back(static_cast<std::uint32_t>(c));
-    row.coeffs.push_back(t.coeff);
-  }
-  // Terms are strictly decreasing monomials and the frame is sorted the same
-  // way, so the column indices come out strictly increasing.
-  return row;
-}
-
-}  // namespace
-
 MacaulayMatrix build_matrix(const PolyContext& ctx, const SymbolicFrame& frame,
                             const std::vector<Polynomial>& rows, const CoeffOptions& coeff,
                             bool build_runs) {
+  GBD_CHECK_MSG(rows.size() == frame.row_cols.size(),
+                "build_matrix: rows are not the batch the frame was built from");
   MacaulayMatrix mat;
   mat.ncols = frame.ncols();
   mat.work_rows.reserve(rows.size());
   std::uint64_t cells = 0;
-  for (const Polynomial& p : rows) {
-    mat.work_rows.push_back(expand_row(frame, p));
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Polynomial& p = rows[r];
+    GBD_CHECK_MSG(frame.row_cols[r].size() == p.nterms(),
+                  "build_matrix: rows are not the batch the frame was built from");
+    // Terms are strictly decreasing monomials and the frame is sorted the
+    // same way, so the column indices are strictly increasing.
+    MatrixRow row;
+    row.cols = frame.row_cols[r];
+    row.coeffs.reserve(p.nterms());
+    for (const Term& t : p.terms()) row.coeffs.push_back(t.coeff);
+    mat.work_rows.push_back(std::move(row));
     cells += p.nterms();
   }
 
@@ -44,7 +36,6 @@ MacaulayMatrix build_matrix(const PolyContext& ctx, const SymbolicFrame& frame,
     for (const PivotProduct& pv : frame.pivots) {
       const auto& terms = pv.reducer->terms();
       ZpPivotRow row;
-      row.cols.reserve(terms.size());
       row.mont.reserve(terms.size());
       // Monic once per batch: fold hc^{-1} into the Montgomery conversion so
       // the kernel's per-use factor is just the accumulator cell itself.
@@ -52,29 +43,29 @@ MacaulayMatrix build_matrix(const PolyContext& ctx, const SymbolicFrame& frame,
       std::vector<std::uint64_t> canon;  // monic canonical residues, per term
       if (mat.has_runs) canon.reserve(terms.size());
       for (const Term& t : terms) {
-        std::int64_t c = frame.col_of(t.mono * pv.mult);
-        GBD_CHECK_MSG(c >= 0, "build_matrix: pivot monomial missing from frame");
-        row.cols.push_back(static_cast<std::uint32_t>(c));
         std::uint64_t r = field.mul_canonical(inv_head, zp_residue_u64(t.coeff));
         if (mat.has_runs) canon.push_back(r);
         row.mont.push_back(field.from_residue(r).m);
       }
+      // The term columns come from the frame (pv.cols); the cost model
+      // still counts forming each product monomial mult·t.
+      CostCounter::charge(terms.size() * pv.mult.nvars());
       cells += terms.size();
       if (mat.has_runs) {
         // Multiline layout: maximal consecutive-column runs of the tail
         // (j >= 1 — the monic head cancels exactly and is never streamed).
         ZpPivotRuns runs;
-        for (std::size_t j = 1; j < row.cols.size(); ++j) {
+        for (std::size_t j = 1; j < pv.cols.size(); ++j) {
           if (!runs.runs.empty()) {
             ZpPivotRuns::Run& last = runs.runs.back();
-            if (row.cols[j] == last.col + last.len) {
+            if (pv.cols[j] == last.col + last.len) {
               last.len += 1;
               runs.coeffs.push_back(static_cast<std::uint32_t>(canon[j]));
               continue;
             }
           }
           runs.runs.push_back(ZpPivotRuns::Run{
-              row.cols[j], static_cast<std::uint32_t>(runs.coeffs.size()), 1});
+              pv.cols[j], static_cast<std::uint32_t>(runs.coeffs.size()), 1});
           runs.coeffs.push_back(static_cast<std::uint32_t>(canon[j]));
         }
         // Deliberately not charged: whether runs are built depends on host

@@ -41,9 +41,9 @@ struct MatrixRow {
 
 /// A Zp pivot row expanded for the elimination hot loop: monic (head
 /// coefficient 1), every coefficient premultiplied into Montgomery form, so
-/// `acc -= f·row` is one mul_canonical per term.
+/// `acc -= f·row` is one mul_canonical per term. The columns are the
+/// product's PivotProduct::cols, parallel to `mont`.
 struct ZpPivotRow {
-  std::vector<std::uint32_t> cols;
   std::vector<std::uint64_t> mont;
 };
 
@@ -78,9 +78,9 @@ struct MacaulayMatrix {
   bool has_runs = false;
 };
 
-/// Expand the batch rows (and, over Zp, the pivot products) onto the frame.
-/// Every monomial of `rows` must be in the frame — i.e. `rows` must be the
-/// batch symbolic_preprocess was given. Zp rows must carry canonical
+/// Expand the batch rows (and, over Zp, the pivot products) onto the frame:
+/// a gather of the columns the frame recorded for their terms. `rows` must
+/// be the batch symbolic_preprocess was given. Zp rows must carry canonical
 /// residues (the engines' invariant form). `build_runs` additionally lays
 /// the pivot block out as multiline runs for the SIMD sweep (ignored unless
 /// the field admits delayed reduction); callers that know they will

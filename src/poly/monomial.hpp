@@ -1,6 +1,10 @@
 // Monomials (power products) and monomial orderings.
 //
-// A monomial x1^e1 … xn^en is an exponent vector with a cached total degree.
+// A monomial x1^e1 … xn^en is an exponent vector with a cached total degree,
+// stored inline for up to Monomial::kInlineVars variables (the small-vector
+// idiom of LimbVec in bigint.hpp), so the hot monomial arithmetic of
+// reduction allocates nothing.
+//
 // The number of variables is fixed per computation by the PolyContext
 // (see polynomial.hpp); all binary operations require equal lengths.
 //
@@ -9,7 +13,9 @@
 // paper (footnote 2) minimizes the lcm.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -20,14 +26,37 @@ class Reader;
 
 class Monomial {
  public:
+  /// Exponent vectors of up to kInlineVars variables live inline in the
+  /// object (48 bytes in all) and never touch the heap; wider ones spill to
+  /// one heap array. Ten covers every built-in problem and the parametric
+  /// families up to katsura(9), cyclic(10) and eco(10); the replicated GL-P
+  /// inputs take the heap path (see DESIGN.md §19).
+  static constexpr std::size_t kInlineVars = 10;
+
   /// The constant monomial 1 over `nvars` variables.
-  explicit Monomial(std::size_t nvars = 0) : exps_(nvars, 0), degree_(0) {}
+  explicit Monomial(std::size_t nvars = 0) : Monomial(nvars, Uninit{}) {
+    std::fill_n(data(), nvars, 0u);
+  }
 
   /// From an explicit exponent vector.
   explicit Monomial(std::vector<std::uint32_t> exps);
 
-  std::size_t nvars() const { return exps_.size(); }
-  std::uint32_t exp(std::size_t i) const { return exps_[i]; }
+  Monomial(const Monomial& o) : Monomial(o.nvars_, Uninit{}) { copy_from(o); }
+  Monomial(Monomial&& o) noexcept { steal(o); }
+  Monomial& operator=(const Monomial& o);
+  Monomial& operator=(Monomial&& o) noexcept {
+    if (this != &o) {
+      release();
+      steal(o);
+    }
+    return *this;
+  }
+  ~Monomial() { release(); }
+
+  std::size_t nvars() const { return nvars_; }
+  std::uint32_t exp(std::size_t i) const { return data()[i]; }
+  /// The nvars() exponents as one array, for loops over every variable.
+  const std::uint32_t* exps() const { return data(); }
   std::uint32_t degree() const { return degree_; }
   bool is_one() const { return degree_ == 0; }
 
@@ -50,7 +79,11 @@ class Monomial {
   /// True iff hcf(a, b) == 1 (Buchberger's first criterion test).
   static bool coprime(const Monomial& a, const Monomial& b);
 
-  bool operator==(const Monomial& rhs) const { return exps_ == rhs.exps_; }
+  bool operator==(const Monomial& rhs) const {
+    return nvars_ == rhs.nvars_ && degree_ == rhs.degree_ &&
+           (nvars_ == 0 ||
+            std::memcmp(data(), rhs.data(), nvars_ * sizeof(std::uint32_t)) == 0);
+  }
   bool operator!=(const Monomial& rhs) const { return !(*this == rhs); }
 
   /// Render with the given variable names, e.g. "x^2*y". "1" for the unit.
@@ -58,13 +91,50 @@ class Monomial {
 
   void write(Writer& w) const;
   static Monomial read(Reader& r);
-  std::size_t wire_size() const { return 8 + 4 * exps_.size(); }
+  std::size_t wire_size() const { return 8 + 4 * std::size_t{nvars_}; }
 
   std::size_t hash() const;
 
  private:
-  std::vector<std::uint32_t> exps_;
-  std::uint32_t degree_;
+  struct Uninit {};
+  /// `nvars` exponents of unspecified value and degree 0; callers fill both.
+  Monomial(std::size_t nvars, Uninit) : nvars_(static_cast<std::uint32_t>(nvars)) {
+    if (nvars_ > kInlineVars) heap_ = new std::uint32_t[nvars_];
+  }
+
+  bool inline_storage() const { return nvars_ <= kInlineVars; }
+  std::uint32_t* data() { return inline_storage() ? inline_ : heap_; }
+  const std::uint32_t* data() const { return inline_storage() ? inline_ : heap_; }
+
+  /// Same-width copy of o's exponents and degree into existing storage.
+  void copy_from(const Monomial& o) {
+    degree_ = o.degree_;
+    if (nvars_ > 0) std::memcpy(data(), o.data(), nvars_ * sizeof(std::uint32_t));
+  }
+  void release() {
+    if (!inline_storage()) delete[] heap_;
+    nvars_ = 0;
+    degree_ = 0;
+  }
+  /// Take o's value; o is left as the zero-variable unit monomial.
+  void steal(Monomial& o) {
+    nvars_ = o.nvars_;
+    degree_ = o.degree_;
+    if (o.inline_storage()) {
+      if (nvars_ > 0) std::memcpy(inline_, o.inline_, nvars_ * sizeof(std::uint32_t));
+    } else {
+      heap_ = o.heap_;
+      o.nvars_ = 0;
+      o.degree_ = 0;
+    }
+  }
+
+  std::uint32_t nvars_ = 0;
+  std::uint32_t degree_ = 0;
+  union {
+    std::uint32_t inline_[kInlineVars];
+    std::uint32_t* heap_;
+  };
 };
 
 /// Admissible monomial orderings. The paper's measurements use total-degree

@@ -43,6 +43,7 @@ const Polynomial* VectorReducerSet::find_reducer(const Monomial& m, std::uint64_
   const Polynomial* best = nullptr;
   std::size_t best_i = 0, best_bits = 0, best_terms = 0;
   for (std::size_t i = 0; i < polys_->size(); ++i) {
+    if (i == excluded_) continue;
     st.probes += 1;
     if (!DivMaskRuler::may_divide(masks_[i], tmask)) {
       st.mask_rejects += 1;
@@ -338,21 +339,22 @@ std::vector<Polynomial> reduce_basis(const PolyContext& ctx, std::vector<Polynom
         break;
       }
     }
-    if (!covered) minimal.push_back(in[i]);
+    if (!covered) minimal.push_back(std::move(in[i]));
   }
 
-  // Tail-reduce each element against all the others.
+  // Tail-reduce each element against all the others, through one reducer
+  // set over the whole minimal basis that refuses only the element being
+  // reduced. By minimality no other head divides this element's head, and
+  // its own head divides none of its tail terms nor any term a step
+  // introduces (all strictly smaller), so the element is never a candidate
+  // except at its head, where nothing else applies either.
   std::vector<Polynomial> out(minimal.size());
+  VectorReducerSet set(&minimal);
+  ReduceOptions opts;
+  opts.tail_reduce = true;
+  opts.coeff = coeff;
   for (std::size_t i = 0; i < minimal.size(); ++i) {
-    std::vector<Polynomial> others;
-    others.reserve(minimal.size() - 1);
-    for (std::size_t j = 0; j < minimal.size(); ++j) {
-      if (j != i) others.push_back(minimal[j]);
-    }
-    VectorReducerSet set(&others);
-    ReduceOptions opts;
-    opts.tail_reduce = true;
-    opts.coeff = coeff;
+    set.exclude(i);
     out[i] = reduce_full(ctx, minimal[i], set, opts).poly;
     GBD_CHECK_MSG(!out[i].is_zero(), "reduce_basis: minimal element reduced to zero");
   }

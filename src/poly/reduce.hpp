@@ -92,8 +92,15 @@ class VectorReducerSet final : public ReducerSet {
     return &(*polys_)[static_cast<std::size_t>(id)];
   }
 
+  /// Never report element i (replacing any earlier exclusion). find_reducer
+  /// then answers exactly as a set over the vector without element i would
+  /// — same winner, same probes — which lets reduce_basis tail-reduce every
+  /// element against "all the others" without copying them.
+  void exclude(std::size_t i) { excluded_ = i; }
+
  private:
   const std::vector<Polynomial>* polys_ = nullptr;
+  std::size_t excluded_ = ~std::size_t{0};  // none
   // Lazily extended per-element head masks (mutable: a pure cache).
   mutable DivMaskRuler ruler_;
   mutable std::vector<std::uint64_t> masks_;

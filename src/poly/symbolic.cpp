@@ -22,28 +22,44 @@ SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<Poly
   const bool use_memo = memo != nullptr && ver != ReducerSet::kUnversioned;
 
   SymbolicFrame frame;
-  // Every monomial of the closure, mapped to its chosen reducer (index into
-  // `chosen`, or -1 for irreducible). Worklist order does not affect the
-  // result: each monomial is resolved exactly once and find_reducer is a
-  // pure function of (monomial, reducer set).
+  // Every monomial of the closure gets a dense id the first (and only) time
+  // it is hashed; `state[id]` is its chosen product (index into `chosen`),
+  // -1 for irreducible, -2 while unresolved. The map's keys are stable, so
+  // `mono[id]` points into it. Worklist order does not affect the result:
+  // each monomial is resolved exactly once and find_reducer is a pure
+  // function of (monomial, reducer set).
   struct Resolved {
     const Polynomial* reducer;
     std::uint64_t reducer_id;
+    Monomial mult;
+    std::size_t ids_at;  ///< this product's term ids in `product_ids`
   };
-  std::unordered_map<Monomial, std::int64_t, SymbolicFrame::MonoHash> seen;
+  std::unordered_map<Monomial, std::uint32_t, SymbolicFrame::MonoHash> seen;
+  std::vector<const Monomial*> mono;
+  std::vector<std::int64_t> state;
   std::vector<Resolved> chosen;
-  std::vector<Monomial> worklist;
+  std::vector<std::uint32_t> product_ids;  // per product: head id, then tail ids
+  std::vector<std::uint32_t> worklist;
 
-  auto visit = [&](const Monomial& m) {
-    if (seen.emplace(m, -2).second) worklist.push_back(m);
+  auto visit = [&](Monomial m) -> std::uint32_t {
+    auto [it, fresh] = seen.emplace(std::move(m), static_cast<std::uint32_t>(mono.size()));
+    if (fresh) {
+      mono.push_back(&it->first);
+      state.push_back(-2);
+      worklist.push_back(it->second);
+    }
+    return it->second;
   };
-  for (const Polynomial& r : rows) {
-    for (const Term& t : r.terms()) visit(t.mono);
+  std::vector<std::vector<std::uint32_t>> row_ids(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    row_ids[r].reserve(rows[r].nterms());
+    for (const Term& t : rows[r].terms()) row_ids[r].push_back(visit(t.mono));
   }
 
   while (!worklist.empty()) {
-    Monomial m = std::move(worklist.back());
+    const std::uint32_t mid = worklist.back();
     worklist.pop_back();
+    const Monomial& m = *mono[mid];
     std::uint64_t id = 0;
     const Polynomial* red = nullptr;
     bool resolved = false;
@@ -72,40 +88,64 @@ SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<Poly
       }
     }
     if (red == nullptr) {
-      seen[m] = -1;
+      state[mid] = -1;
       continue;
     }
     // Schedule (m / HMONO(red))·red and feed its tail monomials back. The
-    // head monomial is m itself, already in `seen`.
-    seen[m] = static_cast<std::int64_t>(chosen.size());
-    chosen.push_back(Resolved{red, id});
-    Monomial mult = m / red->hmono();
+    // head monomial is m itself, already seen.
+    state[mid] = static_cast<std::int64_t>(chosen.size());
+    chosen.push_back(Resolved{red, id, m / red->hmono(), product_ids.size()});
+    const Monomial& mult = chosen.back().mult;
+    product_ids.push_back(mid);
     const auto& terms = red->terms();
-    for (std::size_t i = 1; i < terms.size(); ++i) visit(terms[i].mono * mult);
+    for (std::size_t i = 1; i < terms.size(); ++i) {
+      product_ids.push_back(visit(terms[i].mono * mult));
+    }
     CostCounter::charge(terms.size());
   }
 
-  // Frame columns: the closure in strictly decreasing monomial order.
-  frame.cols.reserve(seen.size());
-  for (const auto& [m, r] : seen) frame.cols.push_back(m);
-  std::sort(frame.cols.begin(), frame.cols.end(),
-            [&](const Monomial& a, const Monomial& b) { return ctx.cmp(a, b) > 0; });
+  // Frame columns: the closure in strictly decreasing monomial order. The
+  // sort input is the map's iteration order, which fixes the comparison
+  // sequence and so the units ctx.cmp charges.
+  std::vector<std::uint32_t> order;
+  order.reserve(seen.size());
+  for (const auto& [m, i] : seen) order.push_back(i);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return ctx.cmp(*mono[a], *mono[b]) > 0;
+  });
+  std::vector<std::uint32_t> col_of_id(order.size());
+  frame.cols.reserve(order.size());
+  for (std::uint32_t c = 0; c < order.size(); ++c) {
+    col_of_id[order[c]] = c;
+    frame.cols.push_back(*mono[order[c]]);
+  }
+  for (auto& [m, i] : seen) i = col_of_id[i];
+  frame.index_ = std::move(seen);
 
-  frame.index_.reserve(frame.cols.size());
+  frame.row_cols = std::move(row_ids);
+  for (auto& cols : frame.row_cols)
+    for (std::uint32_t& c : cols) c = col_of_id[c];
+
+  // Pivot products in head-column order (strictly increasing: one product
+  // per reducible monomial). The multiplier formed when the product was
+  // scheduled is reused, but the cost model counts a second monomial
+  // division for laying the product out, charged here explicitly so charged
+  // units do not depend on the representation (DESIGN.md §19).
   frame.pivot_of_col.assign(frame.cols.size(), -1);
   for (std::uint32_t c = 0; c < frame.cols.size(); ++c) {
-    frame.index_.emplace(frame.cols[c], c);
-  }
-  // Pivot products in head-column order (strictly increasing: one product
-  // per reducible monomial).
-  for (std::uint32_t c = 0; c < frame.cols.size(); ++c) {
-    std::int64_t k = seen.at(frame.cols[c]);
+    std::int64_t k = state[order[c]];
     GBD_DCHECK(k >= -1);
     if (k < 0) continue;
-    const Resolved& r = chosen[static_cast<std::size_t>(k)];
+    Resolved& r = chosen[static_cast<std::size_t>(k)];
     frame.pivot_of_col[c] = static_cast<std::int32_t>(frame.pivots.size());
-    frame.pivots.push_back(
-        PivotProduct{r.reducer, r.reducer_id, frame.cols[c] / r.reducer->hmono()});
+    PivotProduct pv{r.reducer, r.reducer_id, std::move(r.mult), {}};
+    const std::size_t nterms = r.reducer->nterms();
+    pv.cols.reserve(nterms);
+    for (std::size_t j = 0; j < nterms; ++j) {
+      pv.cols.push_back(col_of_id[product_ids[r.ids_at + j]]);
+    }
+    CostCounter::charge(pv.mult.nvars());
+    frame.pivots.push_back(std::move(pv));
   }
 
   st.frame_cols += frame.cols.size();

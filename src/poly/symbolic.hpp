@@ -61,6 +61,9 @@ struct PivotProduct {
   const Polynomial* reducer = nullptr;
   std::uint64_t reducer_id = 0;  ///< id reported by ReducerSet::find_reducer
   Monomial mult;
+  /// Frame column of mult·t for every term t of the reducer, in term order
+  /// (strictly increasing; cols[0] is the head column).
+  std::vector<std::uint32_t> cols;
 };
 
 /// Output of symbolic preprocessing: the monomial frame and the pivot
@@ -68,12 +71,19 @@ struct PivotProduct {
 /// under the context's ordering (column 0 = largest); pivots are sorted by
 /// head column, which is strictly increasing (one pivot per reducible
 /// monomial), so the pivot block is upper triangular by construction.
+///
+/// The frame also carries the column of every term it was built from — each
+/// batch row's terms (row_cols) and each pivot product's (PivotProduct::cols)
+/// — resolved while the closure was hashed, so laying out the matrix
+/// (matrix.hpp) is a gather: no monomial products, no column lookups.
 struct SymbolicFrame {
   std::vector<Monomial> cols;        ///< strictly decreasing
   std::vector<PivotProduct> pivots;  ///< head columns strictly increasing
   /// Per column: index into `pivots` of the product whose head covers it,
   /// or -1 when the column's monomial is irreducible.
   std::vector<std::int32_t> pivot_of_col;
+  /// Per batch row (in input order): the column of each of its terms.
+  std::vector<std::vector<std::uint32_t>> row_cols;
 
   std::size_t ncols() const { return cols.size(); }
 

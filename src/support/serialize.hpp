@@ -109,7 +109,7 @@ class Reader {
 
   void copy(void* out, std::size_t n) {
     need(n);
-    std::memcpy(out, buf_ + pos_, n);
+    if (n > 0) std::memcpy(out, buf_ + pos_, n);  // an empty words() passes null
     pos_ += n;
   }
 

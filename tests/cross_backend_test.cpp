@@ -24,6 +24,7 @@
 #include "poly/reduce.hpp"
 #include "problems/problems.hpp"
 #include "support/serialize.hpp"
+#include "test_ports.hpp"
 
 namespace gbd {
 namespace {
@@ -195,22 +196,18 @@ SocketRunResult run_socket_backend(const PolySystem& sys, int nprocs, int base_p
   return result;
 }
 
-int xbk_port(int salt) { return 24100 + static_cast<int>(::getpid() % 17000) + salt; }
-
 // The full three-way differential: simulator, threads and sockets reduce to
 // the *identical* canonical basis at P=2 and P=4, and the socket backend's
 // gathered counters conserve envelopes (everything sent across process
 // boundaries was delivered somewhere — quiescence guarantees no residue).
 TEST(CrossBackendTest, SimThreadsAndSocketsComputeTheSameBasis) {
   PolySystem sys = load_problem("katsura4");
-  int salt = 0;
   for (int nprocs : {2, 4}) {
     ParallelConfig cfg;
     cfg.nprocs = nprocs;
     ParallelResult sim = groebner_parallel(sys, cfg);
     ParallelResult thr = groebner_parallel_threads(sys, cfg);
-    SocketRunResult sock = run_socket_backend(sys, nprocs, xbk_port(salt));
-    salt += nprocs + 1;
+    SocketRunResult sock = run_socket_backend(sys, nprocs, test::reserve_port_block());
     ASSERT_TRUE(sock.ok) << "socket run failed at P=" << nprocs;
     std::string label = "P=" + std::to_string(nprocs);
     expect_identical_reduced(sys, sim.basis, thr.basis, label + " sim/threads");
@@ -225,7 +222,7 @@ TEST(CrossBackendTest, SocketsMatchSimOnTrinks1) {
   ParallelConfig cfg;
   cfg.nprocs = 4;
   ParallelResult sim = groebner_parallel(sys, cfg);
-  SocketRunResult sock = run_socket_backend(sys, 4, xbk_port(97));
+  SocketRunResult sock = run_socket_backend(sys, 4, test::reserve_port_block());
   ASSERT_TRUE(sock.ok);
   std::string why;
   ASSERT_TRUE(verify_groebner_result(sys.ctx, sys.polys, sock.basis, &why)) << why;
@@ -241,7 +238,6 @@ TEST(CrossBackendTest, SocketsMatchSimOnTrinks1) {
 TEST(CrossBackendTest, ModularDriverAgreesAcrossAllBackends) {
   PolySystem sys = load_problem("katsura4");
   std::vector<Polynomial> exact = reduce_basis(sys.ctx, groebner_sequential(sys).basis);
-  int salt = 600;
   for (int nprocs : {2, 4}) {
     for (ModularBackend backend :
          {ModularBackend::kSequential, ModularBackend::kSim, ModularBackend::kThread,
@@ -251,8 +247,7 @@ TEST(CrossBackendTest, ModularDriverAgreesAcrossAllBackends) {
       cfg.nprocs = nprocs;
       cfg.initial_primes = 2;
       cfg.max_primes = 6;
-      cfg.socket_base_port = xbk_port(salt);
-      salt += 64;  // room for nprocs ports per prime job
+      cfg.socket_base_port = test::reserve_port_block();  // room for every prime job
       ModularResult res = groebner_multimodular(sys, cfg);
       std::string label =
           std::string("modular ") + modular_backend_name(backend) + " P=" + std::to_string(nprocs);

@@ -238,6 +238,39 @@ TEST(MatrixGlpTest, SimMatchesSequentialOracle) {
   }
 }
 
+// Charged cost units are the simulated machine's clock, so representation
+// changes (inline monomials, frame column lists) must not move them. These
+// figures were recorded before either change; they hold with SIMD dispatch on
+// or off, and for any prime (the charges count term operations, not values).
+TEST(MatrixCostParityTest, ChargedUnitsArePinned) {
+  {
+    GbConfig cfg;
+    cfg.coeff = CoeffOptions::zp(kPrimes[0]);
+    cfg.matrix_reduce = true;
+    SequentialResult r = groebner_sequential(load_problem("katsura(5)"), cfg);
+    EXPECT_EQ(r.stats.work_units, 745172u);
+    EXPECT_EQ(r.elapsed_units, 745172u);
+  }
+  {
+    ParallelConfig cfg;
+    cfg.nprocs = 4;
+    cfg.gb.coeff = CoeffOptions::zp(kPrimes[0]);
+    cfg.gb.matrix_reduce = true;
+    ParallelResult r = groebner_parallel(load_problem("katsura(5)"), cfg);
+    EXPECT_EQ(r.stats.work_units, 8320541u);
+    EXPECT_EQ(r.elapsed_units, 3216034u);
+  }
+  {
+    // The exact sweep reads pivot products straight from the frame.
+    ParallelConfig cfg;
+    cfg.nprocs = 4;
+    cfg.gb.matrix_reduce = true;
+    ParallelResult r = groebner_parallel(load_problem("katsura4"), cfg);
+    EXPECT_EQ(r.stats.work_units, 11288557u);
+    EXPECT_EQ(r.elapsed_units, 6183706u);
+  }
+}
+
 TEST(MatrixGlpTest, ChaosScheduleStaysCoherent) {
   // Full-intensity schedule adversary: jitter, reordering, duplication of
   // the idempotent handlers, starvation. Matrix rounds must neither serve

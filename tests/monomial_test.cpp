@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
+#include "oracles.hpp"
+#include "problems/problems.hpp"
+#include "support/cost.hpp"
 #include "support/rng.hpp"
 #include "support/serialize.hpp"
 
@@ -180,6 +184,206 @@ INSTANTIATE_TEST_SUITE_P(AllOrders, OrderPropertyTest,
                          [](const ::testing::TestParamInfo<OrderKind>& info) {
                            return order_name(info.param);
                          });
+
+
+// ---------------------------------------------------------------------------
+// The inline/heap storage boundary. Monomial keeps up to kInlineVars
+// exponents inline and spills wider vectors to the heap; every operation must
+// behave identically on both sides, checked against the plain-vector oracle
+// (tests/oracles.hpp). Widths: empty, one variable, exactly the inline
+// capacity, one past it, and the 48 variables of the paper's replicated
+// trinks1 input.
+
+constexpr std::size_t kCap = Monomial::kInlineVars;
+
+class MonomialWidthTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST(MonomialStorageTest, LayoutIsCompact) {
+  EXPECT_EQ(sizeof(Monomial), 48u);
+  EXPECT_EQ(replicate_renamed(load_problem("trinks1"), 8).ctx.nvars(), 48u);
+}
+
+TEST_P(MonomialWidthTest, CopyMoveSelfAssignmentAndSwap) {
+  const std::size_t n = GetParam();
+  Rng rng(1000 + n);
+  const Monomial a = random_mono(rng, n, 9);
+  const Monomial b = random_mono(rng, n, 9);
+  const oracle::VecMonomial va(a);
+
+  Monomial copy(a);
+  EXPECT_EQ(copy, a);
+  EXPECT_TRUE(va.same_as(copy));
+
+  // Copy assignment over every other width, both directions of the boundary.
+  for (std::size_t w : {std::size_t{0}, std::size_t{1}, kCap, kCap + 1, std::size_t{48}}) {
+    Monomial other = random_mono(rng, w, 5);
+    const Monomial other_before = other;
+    other = a;
+    EXPECT_EQ(other, a) << "width " << w << " <- " << n;
+    copy = other_before;
+    EXPECT_EQ(copy, other_before) << "width " << n << " <- " << w;
+    copy = a;
+  }
+  EXPECT_TRUE(va.same_as(a)) << "assignments must not alias the source";
+
+  // Move construction and assignment; the moved-from object stays usable.
+  Monomial src(a);
+  Monomial moved(std::move(src));
+  EXPECT_TRUE(va.same_as(moved));
+  src = b;
+  EXPECT_EQ(src, b);
+  Monomial target = random_mono(rng, 48, 3);
+  target = std::move(moved);
+  EXPECT_TRUE(va.same_as(target));
+  moved = a;
+  EXPECT_EQ(moved, a);
+
+  // Self-assignment, through aliases so the compiler cannot see it.
+  Monomial self(a);
+  Monomial& alias = self;
+  self = alias;
+  EXPECT_TRUE(va.same_as(self));
+  self = std::move(alias);
+  EXPECT_TRUE(va.same_as(self));
+
+  // Swap with a same-width value and across the boundary.
+  Monomial x(a), y(b);
+  std::swap(x, y);
+  EXPECT_EQ(x, b);
+  EXPECT_EQ(y, a);
+  Monomial wide = random_mono(rng, 48, 4);
+  const Monomial wide_before = wide;
+  std::swap(x, wide);
+  EXPECT_EQ(x, wide_before);
+  EXPECT_EQ(wide, b);
+}
+
+TEST_P(MonomialWidthTest, EqualValuesFromDifferentPathsAreEqualAndHashEqual) {
+  const std::size_t n = GetParam();
+  Rng rng(2000 + n);
+  for (int iter = 0; iter < 20; ++iter) {
+    const Monomial a = random_mono(rng, n, 6);
+    const Monomial b = random_mono(rng, n, 6);
+    const oracle::VecMonomial vab = oracle::VecMonomial(a).mul(oracle::VecMonomial(b));
+    const Monomial direct(vab.e);
+    Writer w;
+    direct.write(w);
+    Reader r(w.data());
+    const Monomial paths[] = {
+        a * b,
+        b * a,
+        ((a * b) * b) / b,
+        Monomial::lcm(a * b, a),
+        Monomial::hcf(a * b, (a * b) * a),
+        Monomial::read(r),
+        Monomial(n) * (a * b),
+    };
+    for (const Monomial& m : paths) {
+      EXPECT_EQ(m, direct);
+      EXPECT_FALSE(m != direct);
+      EXPECT_EQ(m.degree(), vab.degree());
+      EXPECT_EQ(m.hash(), direct.hash());
+      EXPECT_EQ(m.hash(), vab.hash());
+    }
+  }
+}
+
+TEST_P(MonomialWidthTest, SerializationRoundTripKeepsWireFormat) {
+  const std::size_t n = GetParam();
+  Rng rng(3000 + n);
+  for (int iter = 0; iter < 10; ++iter) {
+    const Monomial m = random_mono(rng, n, 1000);
+    Writer w;
+    m.write(w);
+    EXPECT_EQ(w.data(), oracle::VecMonomial(m).wire());
+    EXPECT_EQ(m.wire_size(), w.size());
+    EXPECT_EQ(m.wire_size(), 8 + 4 * n);
+    Reader r(w.data());
+    Monomial back = Monomial::read(r);
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(back, m);
+    EXPECT_EQ(back.degree(), m.degree());
+  }
+}
+
+TEST_P(MonomialWidthTest, ArithmeticMatchesVectorOracleAndChargesPerVariable) {
+  const std::size_t n = GetParam();
+  Rng rng(4000 + n);
+  for (int iter = 0; iter < 50; ++iter) {
+    const Monomial a = random_mono(rng, n, 4);
+    const Monomial b = random_mono(rng, n, 4);
+    const oracle::VecMonomial va(a), vb(b);
+    {
+      CostScope cost;
+      EXPECT_TRUE(va.mul(vb).same_as(a * b));
+      EXPECT_EQ(cost.elapsed(), n);
+    }
+    EXPECT_TRUE(va.hcf(vb).same_as(Monomial::hcf(a, b)));
+    EXPECT_TRUE(va.lcm(vb).same_as(Monomial::lcm(a, b)));
+    EXPECT_EQ(a.divides(b), va.divides(vb));
+    EXPECT_EQ(Monomial::coprime(a, b), va.coprime(vb));
+    const Monomial ab = a * b;
+    {
+      CostScope cost;
+      EXPECT_TRUE(ab.divides(ab));
+      EXPECT_TRUE(va.same_as(ab / b));
+      EXPECT_EQ(cost.elapsed(), 2 * n);
+    }
+    EXPECT_EQ(a.is_one(), va.degree() == 0);
+  }
+}
+
+TEST_P(MonomialWidthTest, OrderAxiomsHoldAndMatchOracleInEveryOrder) {
+  const std::size_t n = GetParam();
+  for (OrderKind kind :
+       {OrderKind::kLex, OrderKind::kGrLex, OrderKind::kGRevLex, OrderKind::kElim}) {
+    const std::size_t elim = n / 2;
+    Rng rng(5000 + n * 8 + static_cast<std::size_t>(kind));
+    for (int iter = 0; iter < 40; ++iter) {
+      const Monomial a = random_mono(rng, n, 3);
+      const Monomial b = random_mono(rng, n, 3);
+      const Monomial c = random_mono(rng, n, 3);
+      const int ab = mono_cmp(kind, a, b, elim);
+      EXPECT_EQ(ab, oracle::vec_cmp(kind, oracle::VecMonomial(a), oracle::VecMonomial(b), elim))
+          << order_name(kind);
+      EXPECT_EQ(ab, -mono_cmp(kind, b, a, elim));
+      EXPECT_EQ(ab == 0, a == b);
+      EXPECT_LE(mono_cmp(kind, Monomial(n), a, elim), 0);  // 1 <= a
+      if (ab <= 0 && mono_cmp(kind, b, c, elim) <= 0) {
+        EXPECT_LE(mono_cmp(kind, a, c, elim), 0);
+      }
+      const int acbc = mono_cmp(kind, a * c, b * c, elim);
+      EXPECT_EQ(ab < 0, acbc < 0);
+      EXPECT_EQ(ab == 0, acbc == 0);
+      EXPECT_LE(mono_cmp(kind, a, a * c, elim), 0);  // a divisor is not larger
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, MonomialWidthTest,
+                         ::testing::Values(std::size_t{0}, std::size_t{1}, kCap, kCap + 1,
+                                           std::size_t{48}),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return "nvars" + std::to_string(info.param);
+                         });
+
+TEST(MonomialStorageTest, ReplicatedTrinksMonomialsMatchOracle) {
+  // The paper's own 48-variable input: every generator's monomials, their
+  // pairwise products and order against the oracle under the system's order.
+  PolySystem sys = replicate_renamed(load_problem("trinks1"), 8);
+  std::vector<Monomial> monos;
+  for (const Polynomial& p : sys.polys)
+    for (const Term& t : p.terms()) monos.push_back(t.mono);
+  ASSERT_GT(monos.size(), 8u);
+  for (std::size_t i = 0; i < monos.size(); ++i) {
+    const std::size_t j = (i * 7 + 3) % monos.size();
+    const oracle::VecMonomial vi(monos[i]), vj(monos[j]);
+    EXPECT_TRUE(vi.mul(vj).same_as(monos[i] * monos[j]));
+    EXPECT_EQ(sys.ctx.cmp(monos[i], monos[j]),
+              oracle::vec_cmp(sys.ctx.order, vi, vj, sys.ctx.elim_vars));
+    EXPECT_EQ(monos[i].hash(), vi.hash());
+  }
+}
 
 }  // namespace
 }  // namespace gbd

@@ -3,9 +3,9 @@
 // Every test forks one real OS process per rank on loopback TCP — the same
 // shape gbd_launch produces — and asserts on child exit codes. Children
 // communicate verdicts only through their exit status (and _exit, never
-// exit, so a forked gtest child cannot run the parent's teardown). Ports
-// derive from the parent pid plus a per-test counter so concurrent ctest
-// invocations do not collide.
+// exit, so a forked gtest child cannot run the parent's teardown). Each
+// test takes a fresh port block (test_ports.hpp), so concurrent ctest
+// processes never collide.
 #include <sys/types.h>
 #include <sys/wait.h>
 
@@ -25,15 +25,10 @@
 #include "net/transport.hpp"
 #include "problems/problems.hpp"
 #include "support/serialize.hpp"
+#include "test_ports.hpp"
 
 namespace gbd {
 namespace {
-
-int next_port_block() {
-  static int counter = 0;
-  counter += 8;
-  return 23000 + static_cast<int>(::getpid() % 18000) + counter;
-}
 
 NetConfig make_net(int rank, int nprocs, int base_port) {
   NetConfig cfg;
@@ -147,7 +142,7 @@ int ping_pong_body(int rank, int base_port, int nmsgs, const ChaosConfig& chaos)
 }
 
 TEST(SocketTransport, InOrderDeliveryCleanWire) {
-  int base = next_port_block();
+  int base = test::reserve_port_block();
   std::vector<int> codes =
       run_ranks(2, 40, [&](int r) { return ping_pong_body(r, base, 500, ChaosConfig{}); });
   EXPECT_EQ(codes[0], 0);
@@ -158,7 +153,7 @@ TEST(SocketTransport, ExactlyOnceUnderChaos) {
   // Level 2: 50permille drop, 50permille dup, 100permille delayed 5 ms. The
   // receiver's in-order exactly-once check is the assertion; retransmits and
   // dedup must hide every injected fault.
-  int base = next_port_block();
+  int base = test::reserve_port_block();
   ChaosConfig chaos = ChaosConfig::net_intensity(2, /*seed=*/1234);
   std::vector<int> codes =
       run_ranks(2, 60, [&](int r) { return ping_pong_body(r, base, 400, chaos); });
@@ -213,14 +208,14 @@ int ring_body(int rank, int nprocs, int base_port, int laps) {
 }
 
 TEST(SocketMachine, RingTokenAndQuiescenceP2) {
-  int base = next_port_block();
+  int base = test::reserve_port_block();
   std::vector<int> codes = run_ranks(2, 60, [&](int r) { return ring_body(r, 2, base, 10); });
   EXPECT_EQ(codes[0], 0);
   EXPECT_EQ(codes[1], 0);
 }
 
 TEST(SocketMachine, RingTokenAndQuiescenceP4) {
-  int base = next_port_block();
+  int base = test::reserve_port_block();
   std::vector<int> codes = run_ranks(4, 90, [&](int r) { return ring_body(r, 4, base, 5); });
   for (int r = 0; r < 4; ++r) EXPECT_EQ(codes[static_cast<std::size_t>(r)], 0) << "rank " << r;
 }
@@ -230,7 +225,7 @@ TEST(SocketMachine, RingTokenAndQuiescenceP4) {
 // ---------------------------------------------------------------------------
 
 TEST(SocketMachine, KilledPeerIsCleanErrorNotHang) {
-  int base = next_port_block();
+  int base = test::reserve_port_block();
   auto t0 = std::chrono::steady_clock::now();
   std::vector<int> codes = run_ranks(2, 30, [&](int rank) -> int {
     if (rank == 1) {
@@ -278,7 +273,7 @@ TEST(SocketMachine, KilledPeerIsCleanErrorNotHang) {
 // ---------------------------------------------------------------------------
 
 TEST(SocketEngine, Katsura4CertificateP2) {
-  int base = next_port_block();
+  int base = test::reserve_port_block();
   std::vector<int> codes = run_ranks(2, 120, [&](int rank) -> int {
     PolySystem sys = load_problem("katsura4");
     SocketMachineConfig mc;

@@ -25,7 +25,9 @@
 #include "poly/reduce.hpp"
 #include "poly/spoly.hpp"
 #include "problems/problems.hpp"
+#include "support/cost.hpp"
 #include "support/rng.hpp"
+#include "oracles.hpp"
 
 namespace gbd {
 namespace {
@@ -289,6 +291,86 @@ TEST(ZpDiffTest, LiftedMultimodularBasisIsCoefficientIdenticalToExact) {
   ASSERT_EQ(res.basis.size(), exact.size());
   for (std::size_t i = 0; i < exact.size(); ++i) {
     EXPECT_TRUE(res.basis[i].equals(exact[i])) << "element " << i;
+  }
+}
+
+// --- reduce_basis against the copying oracle --------------------------------
+
+/// The system with its terms re-sorted under `order` (elimination block: the
+/// first half of the variables).
+PolySystem reordered(const PolySystem& sys, OrderKind order) {
+  PolySystem out = sys;
+  out.ctx.order = order;
+  out.ctx.elim_vars = sys.ctx.nvars() / 2;
+  out.polys.clear();
+  for (const auto& p : sys.polys) {
+    std::vector<Term> terms(p.terms().begin(), p.terms().end());
+    out.polys.push_back(Polynomial::from_terms(out.ctx, std::move(terms)));
+  }
+  return out;
+}
+
+/// reduce_basis and the copying oracle on one input: identical polynomials,
+/// identical charged units and identical reducer-lookup work.
+void expect_reduce_basis_matches_oracle(const PolyContext& ctx,
+                                        const std::vector<Polynomial>& input,
+                                        const CoeffOptions& coeff, const std::string& label) {
+  FindReducerStats f0 = find_reducer_stats();
+  CostScope c0;
+  std::vector<Polynomial> want = oracle::copying_reduce_basis(ctx, input, coeff);
+  const std::uint64_t want_units = c0.elapsed();
+  FindReducerStats f1 = find_reducer_stats();
+  CostScope c1;
+  std::vector<Polynomial> got = reduce_basis(ctx, input, coeff);
+  const std::uint64_t got_units = c1.elapsed();
+  FindReducerStats f2 = find_reducer_stats();
+
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].equals(want[i]))
+        << label << " element " << i << "\n  got:  " << got[i].to_string(ctx)
+        << "\n  want: " << want[i].to_string(ctx);
+  }
+  EXPECT_EQ(got_units, want_units) << label;
+  EXPECT_EQ(f2.calls - f1.calls, f1.calls - f0.calls) << label;
+  EXPECT_EQ(f2.probes - f1.probes, f1.probes - f0.probes) << label;
+  EXPECT_EQ(f2.divides_calls - f1.divides_calls, f1.divides_calls - f0.divides_calls) << label;
+}
+
+TEST(ReduceBasisOracleTest, MatchesCopyingOracleInEveryOrderAndField) {
+  const std::vector<CoeffOptions> fields = {CoeffOptions{}, CoeffOptions::zp(kZpDiffPrimes[0])};
+  for (const std::string name : {"arnborg4", "katsura4", "trinks1"}) {
+    for (OrderKind order :
+         {OrderKind::kLex, OrderKind::kGrLex, OrderKind::kGRevLex, OrderKind::kElim}) {
+      // Exact lex bases of the larger inputs take far too long to compute.
+      if (order == OrderKind::kLex && name != "arnborg4") continue;
+      PolySystem sys = reordered(load_problem(name), order);
+      for (const CoeffOptions& coeff : fields) {
+        GbConfig cfg;
+        cfg.coeff = coeff;
+        const std::vector<Polynomial> raw = groebner_sequential(sys, cfg).basis;
+        const std::string label = name + " " + order_name(order) + " " + coeff.to_string();
+        // The engine's raw basis: many elements whose heads others divide.
+        expect_reduce_basis_matches_oracle(sys.ctx, raw, coeff, label + " raw");
+
+        // Duplicate heads: every element twice (once scaled), and once more
+        // with its tail changed by a smaller-headed element of the ideal.
+        // Minimization keeps the first of each equal head, in both versions.
+        std::vector<Polynomial> dup;
+        for (std::size_t i = 0; i < raw.size(); ++i) {
+          const Polynomial& g = raw[i];
+          dup.push_back(g);
+          dup.push_back(g.mul_term(BigInt(3), Monomial(sys.ctx.nvars())));
+          for (const Polynomial& h : raw) {
+            if (sys.ctx.cmp(h.hmono(), g.hmono()) < 0) {
+              dup.push_back(g.add(sys.ctx, h));
+              break;
+            }
+          }
+        }
+        expect_reduce_basis_matches_oracle(sys.ctx, dup, coeff, label + " duplicate heads");
+      }
+    }
   }
 }
 

@@ -175,9 +175,12 @@ TEST(ServeTest, AdmissionControlRejectsBeyondCapacity) {
   int rejected = 0, admitted = 0;
   for (std::uint64_t t = 1; t <= 5; ++t)
     ASSERT_TRUE(client.submit(named_job(t, "sparse(3," + std::to_string(t) + ")")));
-  // Rejections come back immediately; admitted jobs complete after resume.
-  server->resume();
+  // Admission happens on the I/O thread. Rejections come back at once, while
+  // admitted jobs cannot finish before resume(): collect the three "queue
+  // full" results first, so a resumed worker cannot drain the queue and make
+  // room for a submission the I/O thread has not admitted yet.
   for (int i = 0; i < 5; ++i) {
+    if (i == 3) server->resume();
     ClientUpdate u;
     int pr;
     do {

@@ -41,15 +41,10 @@
 #include "obs/tracer.hpp"
 #include "problems/problems.hpp"
 #include "support/serialize.hpp"
+#include "test_ports.hpp"
 
 namespace gbd {
 namespace {
-
-int next_port_block() {
-  static int counter = 0;
-  counter += 8;
-  return 41000 + static_cast<int>(::getpid() % 18000) + counter;
-}
 
 NetConfig make_net(int rank, int nprocs, int base_port) {
   NetConfig cfg;
@@ -334,7 +329,7 @@ TEST(TelemetrySimTest, BitIdenticalUnderChaosToo) {
 // --- Cross-rank causal flow ids (socket backend) -----------------------------
 
 TEST(TelemetryFlowTest, EveryReceiveResolvesToExactlyOneSend) {
-  int base = next_port_block();
+  int base = test::reserve_port_block();
   std::string dir = ::testing::TempDir();
   std::string t0_path = dir + "/flow_rank0." + std::to_string(::getpid()) + ".trace";
   std::string t1_path = dir + "/flow_rank1." + std::to_string(::getpid()) + ".trace";
@@ -412,7 +407,7 @@ TEST(TelemetryFlowTest, EveryReceiveResolvesToExactlyOneSend) {
 // exactly once, in order — telemetry loss/duplication can never leak into
 // the reliable seq space — while at least some telemetry frames get through.
 TEST(TelemetryTransportTest, BestEffortNeverPerturbsReliableDelivery) {
-  int base = next_port_block();
+  int base = test::reserve_port_block();
   constexpr int kMsgs = 300;
   std::vector<int> codes = run_ranks(2, 60, [&](int rank) -> int {
     NetConfig cfg = make_net(rank, 2, base);
@@ -479,7 +474,7 @@ TEST(TelemetryTransportTest, BestEffortNeverPerturbsReliableDelivery) {
 // --- Full engine over sockets, telemetry on, chaos on ------------------------
 
 TEST(TelemetrySocketTest, ChaosRunStillCorrectAndObserved) {
-  int base = next_port_block();
+  int base = test::reserve_port_block();
   std::vector<int> codes = run_ranks(2, 120, [&](int rank) -> int {
     PolySystem sys = load_problem("katsura4");
     SocketMachineConfig mc;

@@ -155,9 +155,10 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
     return false;
   };
 
-  // Reducer resolutions reused across matrix rounds (frame memo): adjacent
-  // rounds share most of their closure monomials, and the basis only grows.
-  SymbolicMemo matrix_memo;
+  // One monomial table for the whole run: adjacent matrix rounds share most
+  // of their closure monomials, reducer choices and products, and the basis
+  // only grows.
+  SymbolicTable matrix_table;
 
   while (!queue.empty()) {
     if (cfg.stop != nullptr && cfg.stop->load(std::memory_order_relaxed)) {
@@ -193,7 +194,7 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
       eopts.nthreads = cfg.matrix_threads;
       eopts.force_scalar = cfg.matrix_force_scalar;
       const std::uint64_t axpys_before = matrix_kernel_stats().axpys;
-      EchelonOutput eo = reduce_batch(ctx, rows, reducer_set, eopts, &matrix_memo);
+      EchelonOutput eo = reduce_batch(ctx, rows, reducer_set, eopts, &matrix_table);
       res.stats.reduction_steps += matrix_kernel_stats().axpys - axpys_before;
       for (const PendingPair& pair : batch) done.mark(pair.i, pair.j);
       res.stats.reductions_to_zero += batch.size() - eo.rows.size();

@@ -86,6 +86,10 @@ void collect_kernel_delta(MetricsRegistry& reg, int proc, const KernelBaseline& 
   reg.add("kernel.matrix.dense_cells", proc, mk.dense_cells - base.matrix.dense_cells);
   reg.add("kernel.matrix.memo_hits", proc, mk.memo_hits - base.matrix.memo_hits);
   reg.add("kernel.matrix.memo_misses", proc, mk.memo_misses - base.matrix.memo_misses);
+  reg.add("kernel.matrix.product_cache_hits", proc,
+          mk.product_cache_hits - base.matrix.product_cache_hits);
+  reg.add("kernel.matrix.table_monomials", proc,
+          mk.table_monomials - base.matrix.table_monomials);
   reg.add("kernel.matrix.pivot_cache_builds", proc,
           mk.pivot_cache_builds - base.matrix.pivot_cache_builds);
   reg.add("kernel.matrix.pivot_cache_hits", proc,
@@ -95,6 +99,7 @@ void collect_kernel_delta(MetricsRegistry& reg, int proc, const KernelBaseline& 
   reg.add("kernel.simd.cells", proc, mk.simd_cells - base.matrix.simd_cells);
   reg.add("kernel.simd.runs", proc, mk.simd_runs - base.matrix.simd_runs);
   reg.add("kernel.simd.sweep_ns", proc, mk.sweep_ns - base.matrix.sweep_ns);
+  reg.add("kernel.matrix.interreduce_ns", proc, mk.interreduce_ns - base.matrix.interreduce_ns);
 }
 
 void collect_machine_stats(MetricsRegistry& reg, const MachineStats& ms) {

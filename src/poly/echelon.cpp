@@ -4,6 +4,9 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 
 #include "poly/geobucket.hpp"
 #include "poly/simd.hpp"
@@ -26,50 +29,67 @@ struct SweepTally {
   std::uint64_t cost = 0;  // term-operation units this worker charged
 };
 
+/// A Zp row in column space: strictly increasing frame columns, each with a
+/// nonzero canonical residue. Both Zp sweeps emit these, monic, and stage 2
+/// combines them; only the survivors become Polynomials.
+struct ZpColRow {
+  std::vector<std::uint32_t> cols;
+  std::vector<std::uint64_t> vals;
+
+  bool empty() const { return cols.empty(); }
+};
+
+/// Polynomial::make_monic in column space, with the same charge.
+void make_monic(const ZpField& field, ZpColRow* row) {
+  if (row->empty() || row->vals[0] == 1) return;
+  const Zp inv = field.inv(field.from_residue(row->vals[0]));
+  for (std::uint64_t& v : row->vals) v = field.mul_canonical(inv, v);
+  CostCounter::charge(row->vals.size());
+}
+
+/// The nonzero cells of a swept accumulator (every cell canonical), monic.
+ZpColRow gather_monic(const ZpField& field, const std::vector<std::uint64_t>& acc) {
+  ZpColRow out;
+  for (std::size_t c = 0; c < acc.size(); ++c) {
+    if (acc[c] == 0) continue;
+    out.cols.push_back(static_cast<std::uint32_t>(c));
+    out.vals.push_back(acc[c]);
+  }
+  make_monic(field, &out);
+  return out;
+}
+
 /// Zp pivot sweep for one work row: dense accumulator of canonical residues,
-/// columns walked in tiles. A pivot's tail scatters strictly to the right of
-/// its head, so one left-to-right pass clears every pivot column.
-Polynomial sweep_row_zp(const PolyContext& ctx, const SymbolicFrame& frame,
-                        const MacaulayMatrix& mat, const ZpField& field, const MatrixRow& row,
-                        std::size_t block_cols, std::vector<std::uint64_t>* acc,
-                        SweepTally* tally) {
+/// walked left to right. A pivot's tail scatters strictly to the right of
+/// its head, so one pass clears every pivot column.
+ZpColRow sweep_row_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat,
+                      const ZpField& field, const MatrixRow& row,
+                      std::vector<std::uint64_t>* acc, SweepTally* tally) {
   const std::size_t ncols = mat.ncols;
   std::fill(acc->begin(), acc->end(), 0);
   for (std::size_t i = 0; i < row.nnz(); ++i) {
     (*acc)[row.cols[i]] = zp_residue_u64(row.coeffs[i]);
   }
-  const std::size_t tile = std::max<std::size_t>(1, block_cols);
-  for (std::size_t b = 0; b < ncols; b += tile) {
-    const std::size_t be = std::min(ncols, b + tile);
-    for (std::size_t c = b; c < be; ++c) {
-      std::uint64_t f = (*acc)[c];
-      if (f == 0) continue;
-      std::int32_t pv = frame.pivot_of_col[c];
-      if (pv < 0) continue;
-      const ZpPivotRow& prow = mat.zp_pivots[static_cast<std::size_t>(pv)];
-      const std::vector<std::uint32_t>& pcols = frame.pivots[static_cast<std::size_t>(pv)].cols;
-      // prow is monic with head at column c: the head cancels exactly.
-      (*acc)[c] = 0;
-      for (std::size_t j = 1; j < pcols.size(); ++j) {
-        std::uint64_t& cell = (*acc)[pcols[j]];
-        cell = field.sub_canonical(cell, field.mul_canonical(Zp{prow.mont[j]}, f));
-      }
-      tally->axpys += 1;
-      CostCounter::charge(pcols.size());
+  for (std::size_t c = 0; c < ncols; ++c) {
+    std::uint64_t f = (*acc)[c];
+    if (f == 0) continue;
+    std::int32_t pv = frame.pivot_of_col[c];
+    if (pv < 0) continue;
+    const std::uint64_t* mont = mat.zp_pivots[static_cast<std::size_t>(pv)].mont;
+    const std::vector<std::uint32_t>& pcols = frame.pivots[static_cast<std::size_t>(pv)].cols;
+    // The pivot is monic with head at column c: the head cancels exactly.
+    (*acc)[c] = 0;
+    for (std::size_t j = 1; j < pcols.size(); ++j) {
+      std::uint64_t& cell = (*acc)[pcols[j]];
+      cell = field.sub_canonical(cell, field.mul_canonical(Zp{mont[j]}, f));
     }
+    tally->axpys += 1;
+    CostCounter::charge(pcols.size());
   }
   tally->dense_cells += ncols;
   tally->scalar_rows += 1;
-  CostCounter::charge(ncols / 8 + 1);  // the tile scan itself, amortized
-
-  std::vector<Term> terms;
-  for (std::size_t c = 0; c < ncols; ++c) {
-    std::uint64_t v = (*acc)[c];
-    if (v != 0) terms.push_back(Term{BigInt(static_cast<std::int64_t>(v)), frame.cols[c]});
-  }
-  Polynomial out = Polynomial::from_sorted_terms(ctx, std::move(terms));
-  out.make_monic(field);
-  return out;
+  CostCounter::charge(ncols / 8 + 1);  // the column scan itself, amortized
+  return gather_monic(field, *acc);
 }
 
 /// Vectorized Zp sweep: same left-to-right pass, but accumulator lanes hold
@@ -83,10 +103,9 @@ Polynomial sweep_row_zp(const PolyContext& ctx, const SymbolicFrame& frame,
 /// Charged cost units match sweep_row_zp exactly — 1 + tail per
 /// elimination, ncols/8 + 1 per row — so virtual-time runs (SimMachine) are
 /// reproducible across hosts regardless of dispatch.
-Polynomial sweep_row_zp_simd(const PolyContext& ctx, const SymbolicFrame& frame,
-                             const MacaulayMatrix& mat, const ZpField& field,
-                             const MatrixRow& row, SimdLevel level,
-                             std::vector<std::uint64_t>* acc, SweepTally* tally) {
+ZpColRow sweep_row_zp_simd(const SymbolicFrame& frame, const MacaulayMatrix& mat,
+                           const ZpField& field, const MatrixRow& row, SimdLevel level,
+                           std::vector<std::uint64_t>* acc, SweepTally* tally) {
   const std::size_t ncols = mat.ncols;
   const std::uint64_t p = field.p();
   const std::uint64_t r64 = field.r_mod_p();
@@ -108,30 +127,61 @@ Polynomial sweep_row_zp_simd(const PolyContext& ctx, const SymbolicFrame& frame,
     (*acc)[c] = 0;  // the monic head cancels exactly
     if (f == 0) continue;
     const ZpPivotRuns& runs = mat.zp_runs[static_cast<std::size_t>(pv)];
+    const std::size_t nterms = frame.pivots[static_cast<std::size_t>(pv)].cols.size();
     const std::uint64_t fneg = p - f;  // subtraction as lane addition
     for (const ZpPivotRuns::Run& run : runs.runs) {
-      zp_axpy_delayed(acc->data() + run.col, runs.coeffs.data() + run.off, run.len, fneg, r64,
-                      level);
+      zp_axpy_delayed(acc->data() + run.col, runs.coeffs + run.off, run.len, fneg, r64, level);
     }
     tally->axpys += 1;
-    tally->simd_cells += runs.coeffs.size();
+    tally->simd_cells += nterms - 1;
     tally->simd_runs += runs.runs.size();
-    // Identical unit charge to the scalar kernel's pivot length:
-    // head (1) + tail (the concatenated run payload).
-    CostCounter::charge(runs.coeffs.size() + 1);
+    // Identical unit charge to the scalar kernel's pivot length.
+    CostCounter::charge(nterms);
   }
   tally->dense_cells += ncols;
   tally->simd_rows += 1;
   CostCounter::charge(ncols / 8 + 1);
+  return gather_monic(field, *acc);  // every cell finalized per column
+}
 
-  std::vector<Term> terms;
-  for (std::size_t c = 0; c < ncols; ++c) {
-    std::uint64_t v = (*acc)[c];  // already canonical: finalized per column
-    if (v != 0) terms.push_back(Term{BigInt(static_cast<std::int64_t>(v)), frame.cols[c]});
+/// row ← row − hc(row)·piv for a monic `piv` with the same head column,
+/// merged on column order into `scratch`, then swapped in. This is
+/// zp_combine(1·row, (p − hc)·piv) with unit multipliers, and it charges
+/// what zp_combine charges for those operands: a unit-monomial product per
+/// term, a monomial comparison per merge step while both sides remain, and
+/// the term movement.
+void combine_zp(const ZpField& field, std::uint64_t nvars, ZpColRow* row, const ZpColRow& piv,
+                ZpColRow* scratch) {
+  const Zp f = field.from_residue(field.p() - row->vals[0]);
+  const std::size_t na = row->cols.size(), nb = piv.cols.size();
+  scratch->cols.clear();
+  scratch->vals.clear();
+  std::size_t i = 0, j = 0;
+  std::uint64_t steps = 0;
+  for (; i < na && j < nb; ++steps) {
+    const std::uint32_t ca = row->cols[i], cb = piv.cols[j];
+    std::uint64_t v;
+    if (ca < cb) {
+      v = row->vals[i++];
+    } else if (ca > cb) {
+      v = field.mul_canonical(f, piv.vals[j++]);
+    } else {
+      v = field.add_canonical(row->vals[i++], field.mul_canonical(f, piv.vals[j++]));
+      if (v == 0) continue;
+    }
+    scratch->cols.push_back(std::min(ca, cb));
+    scratch->vals.push_back(v);
   }
-  Polynomial out = Polynomial::from_sorted_terms(ctx, std::move(terms));
-  out.make_monic(field);
-  return out;
+  for (; i < na; ++i) {
+    scratch->cols.push_back(row->cols[i]);
+    scratch->vals.push_back(row->vals[i]);
+  }
+  for (; j < nb; ++j) {
+    scratch->cols.push_back(piv.cols[j]);
+    scratch->vals.push_back(field.mul_canonical(f, piv.vals[j]));
+  }
+  CostCounter::charge((na + nb) * (nvars + 1) + steps * nvars);
+  std::swap(*row, *scratch);
 }
 
 /// Lazily expanded pivot products for the exact sweep: slot pv holds the
@@ -204,6 +254,74 @@ void combine_exact(const PolyContext& ctx, Polynomial* row, const Polynomial& pi
   row->make_primitive();
 }
 
+/// Stage 2 over Zp, in column space. Frame columns are order-isomorphic to
+/// their monomials (a smaller column is a larger monomial), so sorting by
+/// head column and merging on column order makes exactly the comparisons
+/// and combinations a polynomial-level pass makes, with the same results.
+/// Those comparisons are charged as monomial comparisons (DESIGN.md §20).
+void interreduce_zp(const ZpField& field, std::uint64_t nvars, std::size_t ncols,
+                    std::vector<std::pair<ZpColRow, std::size_t>>* alive,
+                    std::vector<bool>* src_zeroed, MatrixKernelStats* st) {
+  using Work = std::pair<ZpColRow, std::size_t>;  // (row, src)
+  std::uint64_t cmps = 0;
+  std::sort(alive->begin(), alive->end(), [&](const Work& a, const Work& b) {
+    ++cmps;
+    if (a.first.cols[0] != b.first.cols[0]) return a.first.cols[0] < b.first.cols[0];
+    return a.second < b.second;
+  });
+  CostCounter::charge(cmps * nvars);
+  std::vector<std::int32_t> kept_at(ncols, -1);  // per head column: index into `kept`
+  std::vector<Work> kept;
+  ZpColRow scratch;
+  for (Work& w : *alive) {
+    ZpColRow& row = w.first;
+    while (!row.empty()) {
+      const std::int32_t k = kept_at[row.cols[0]];
+      if (k < 0) break;
+      combine_zp(field, nvars, &row, kept[static_cast<std::size_t>(k)].first, &scratch);
+      st->axpys += 1;
+    }
+    if (row.empty()) {
+      (*src_zeroed)[w.second] = true;
+      continue;
+    }
+    make_monic(field, &row);
+    kept_at[row.cols[0]] = static_cast<std::int32_t>(kept.size());
+    kept.push_back(std::move(w));
+  }
+  *alive = std::move(kept);
+}
+
+/// Stage 2 over exact coefficients, on polynomials.
+void interreduce_exact(const PolyContext& ctx,
+                       std::vector<std::pair<Polynomial, std::size_t>>* alive,
+                       std::vector<bool>* src_zeroed, MatrixKernelStats* st) {
+  using Work = std::pair<Polynomial, std::size_t>;  // (poly, src)
+  std::sort(alive->begin(), alive->end(), [&](const Work& a, const Work& b) {
+    int c = ctx.cmp(a.first.hmono(), b.first.hmono());
+    if (c != 0) return c > 0;
+    return a.second < b.second;
+  });
+  std::unordered_map<Monomial, std::size_t, MonoHash> head_of;
+  std::vector<Work> kept;
+  for (Work& w : *alive) {
+    Polynomial& poly = w.first;
+    while (!poly.is_zero()) {
+      auto it = head_of.find(poly.hmono());
+      if (it == head_of.end()) break;
+      combine_exact(ctx, &poly, kept[it->second].first);
+      st->axpys += 1;
+    }
+    if (poly.is_zero()) {
+      (*src_zeroed)[w.second] = true;
+      continue;
+    }
+    head_of.emplace(poly.hmono(), kept.size());
+    kept.push_back(std::move(w));
+  }
+  *alive = std::move(kept);
+}
+
 }  // namespace
 
 EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
@@ -224,9 +342,10 @@ EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
   const bool use_simd = level != SimdLevel::kScalar;
 
   // Stage 1: per-row pivot sweep, parallel across rows. Each worker owns its
-  // accumulator, exact-pivot cache and tally; slot i of `reduced` is written
-  // by exactly one worker.
-  std::vector<Polynomial> reduced(nrows);
+  // accumulator, exact-pivot cache and tally; slot i of `swept` (Zp) or
+  // `reduced` (exact) is written by exactly one worker.
+  std::vector<ZpColRow> swept(zp ? nrows : 0);
+  std::vector<Polynomial> reduced(zp ? 0 : nrows);
   std::size_t nthreads = std::max<std::size_t>(1, opts.nthreads);
   nthreads = std::min(nthreads, std::max<std::size_t>(1, nrows));
   std::vector<SweepTally> tallies(nthreads);
@@ -244,9 +363,9 @@ EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
       if (!zp) {
         reduced[i] = sweep_row_exact(ctx, frame, row, &cache, &tally);
       } else if (use_simd) {
-        reduced[i] = sweep_row_zp_simd(ctx, frame, mat, field, row, level, &acc, &tally);
+        swept[i] = sweep_row_zp_simd(frame, mat, field, row, level, &acc, &tally);
       } else {
-        reduced[i] = sweep_row_zp(ctx, frame, mat, field, row, opts.block_cols, &acc, &tally);
+        swept[i] = sweep_row_zp(frame, mat, field, row, &acc, &tally);
       }
     }
     tally.cost = scope.elapsed();
@@ -267,9 +386,9 @@ EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
     for (const auto& tally : tallies) makespan = std::max(makespan, tally.cost);
     CostCounter::charge(makespan);
   }
-  st.sweep_ns += static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                                std::chrono::steady_clock::now() - sweep_t0)
-                                                .count());
+  const auto stage2_t0 = std::chrono::steady_clock::now();
+  st.sweep_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(stage2_t0 - sweep_t0).count());
   for (const auto& tally : tallies) {
     st.axpys += tally.axpys;
     st.dense_cells += tally.dense_cells;
@@ -285,64 +404,58 @@ EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
   // descending head order (ties by src) so an accepted row can never be
   // re-touched by a later combination; each combination strictly lowers the
   // working row's head. Row identity (src) survives combination.
-  struct Work {
-    Polynomial poly;
-    std::size_t src;
-  };
-  std::vector<Work> alive;
-  for (std::size_t i = 0; i < nrows; ++i) {
-    if (mat.work_rows[i].empty() || reduced[i].is_zero()) {
-      if (!mat.work_rows[i].empty()) out.src_zeroed[i] = true;
-      continue;
-    }
-    alive.push_back(Work{std::move(reduced[i]), i});
-  }
-
-  if (opts.interreduce && alive.size() > 1) {
-    std::sort(alive.begin(), alive.end(), [&](const Work& a, const Work& b) {
-      int c = ctx.cmp(a.poly.hmono(), b.poly.hmono());
-      if (c != 0) return c > 0;
-      return a.src < b.src;
-    });
-    std::unordered_map<Monomial, std::size_t, SymbolicFrame::MonoHash> head_of;
-    std::vector<Work> kept;
-    Monomial unit(ctx.nvars());
-    for (Work& w : alive) {
-      while (!w.poly.is_zero()) {
-        auto it = head_of.find(w.poly.hmono());
-        if (it == head_of.end()) break;
-        const Polynomial& piv = kept[it->second].poly;
-        if (zp) {
-          std::uint64_t f = field.p() - zp_residue_u64(w.poly.hcoef());  // piv is monic
-          w.poly = zp_combine(ctx, field, 1, unit, w.poly, f, unit, piv);
-        } else {
-          combine_exact(ctx, &w.poly, piv);
-        }
-        st.axpys += 1;
-      }
-      if (w.poly.is_zero()) {
-        out.src_zeroed[w.src] = true;
+  auto survivors = [&](auto& rows, auto is_zero) {
+    std::vector<std::pair<std::remove_reference_t<decltype(rows[0])>, std::size_t>> alive;
+    for (std::size_t i = 0; i < nrows; ++i) {
+      if (mat.work_rows[i].empty()) continue;
+      if (is_zero(rows[i])) {
+        out.src_zeroed[i] = true;
         continue;
       }
-      if (zp) w.poly.make_monic(field);
-      head_of.emplace(w.poly.hmono(), kept.size());
-      kept.push_back(std::move(w));
+      alive.emplace_back(std::move(rows[i]), i);
     }
-    alive = std::move(kept);
+    return alive;
+  };
+  if (zp) {
+    auto alive = survivors(swept, [](const ZpColRow& r) { return r.empty(); });
+    if (opts.interreduce && alive.size() > 1) {
+      interreduce_zp(field, ctx.nvars(), mat.ncols, &alive, &out.src_zeroed, &st);
+    }
+    std::sort(alive.begin(), alive.end(),
+              [](const auto& a, const auto& b) { return a.second < b.second; });
+    out.rows.reserve(alive.size());
+    for (auto& [row, src] : alive) {
+      std::vector<Term> terms;
+      terms.reserve(row.cols.size());
+      for (std::size_t k = 0; k < row.cols.size(); ++k) {
+        terms.push_back(
+            Term{BigInt(static_cast<std::int64_t>(row.vals[k])), frame.cols[row.cols[k]]});
+      }
+      out.rows.push_back(
+          EchelonOutput::NewRow{Polynomial::from_sorted_terms(ctx, std::move(terms)), src});
+    }
+  } else {
+    auto alive = survivors(reduced, [](const Polynomial& p) { return p.is_zero(); });
+    if (opts.interreduce && alive.size() > 1) {
+      interreduce_exact(ctx, &alive, &out.src_zeroed, &st);
+    }
+    std::sort(alive.begin(), alive.end(),
+              [](const auto& a, const auto& b) { return a.second < b.second; });
+    out.rows.reserve(alive.size());
+    for (auto& [poly, src] : alive) out.rows.push_back(EchelonOutput::NewRow{std::move(poly), src});
   }
-
-  std::sort(alive.begin(), alive.end(),
-            [](const Work& a, const Work& b) { return a.src < b.src; });
-  out.rows.reserve(alive.size());
-  for (Work& w : alive) out.rows.push_back(EchelonOutput::NewRow{std::move(w.poly), w.src});
+  st.interreduce_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                           stage2_t0)
+          .count());
   for (bool z : out.src_zeroed) st.rows_zeroed += z ? 1 : 0;
   return out;
 }
 
 EchelonOutput reduce_batch(const PolyContext& ctx, const std::vector<Polynomial>& rows,
                            const ReducerSet& reducers, const EchelonOptions& opts,
-                           SymbolicMemo* memo) {
-  SymbolicFrame frame = symbolic_preprocess(ctx, rows, reducers, memo);
+                           SymbolicTable* table) {
+  SymbolicFrame frame = symbolic_preprocess(ctx, rows, reducers, table);
   // Only lay out multiline runs when the vector sweep could actually run, so
   // scalar-pinned configurations don't pay (or get charged) the extra build.
   const bool want_runs =

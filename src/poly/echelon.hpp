@@ -4,10 +4,12 @@
 // pivot block independently, left to right over the columns, which makes the
 // stage embarrassingly parallel across rows:
 //   · Zp: the row scatters into a dense accumulator of canonical residues,
-//     and the sweep walks the columns in cache-sized tiles; eliminating a
-//     cell costs one REDC per pivot-row term (the pivot block was made monic
-//     and Montgomery-converted once at build). This is the GBLA-style dense
-//     tail over the sparse pivot structure. When the field admits delayed
+//     and the sweep walks the columns left to right; eliminating a cell
+//     costs one REDC per pivot-row term (each reducer was made monic and
+//     Montgomery-converted once per run, by the run table — matrix.hpp).
+//     The swept row leaves as a monic sparse (column, residue) row. This is
+//     the GBLA-style dense tail over the sparse pivot structure. When the
+//     field admits delayed
 //     reduction (p < 2^32) and the CPU has AVX2, the sweep instead streams
 //     the pivot block's multiline runs through the vector AXPY of
 //     poly/simd.hpp — accumulator lanes stay merely *congruent* mod p and
@@ -22,6 +24,9 @@
 //
 // Stage 2 — optional interreduction (row echelon of the D block): surviving
 // rows with equal head monomials are combined until all heads are distinct.
+// Over Zp this runs on the sweep's column rows, merging on integer column
+// order — frame columns are order-isomorphic to their monomials — and only
+// the survivors become Polynomials. Exact rows combine as polynomials.
 // Engines want this on (duplicate heads would enter the basis only to be
 // discarded); the differential tests turn it off to compare per-row normal
 // forms one-to-one against reduce_full.
@@ -44,8 +49,6 @@ struct EchelonOptions {
   /// identical for any thread count; the caller's cost counter is charged
   /// the *maximum* per-thread work, modeling parallel makespan.
   std::size_t nthreads = 1;
-  /// Column tile width for the Zp dense sweep.
-  std::size_t block_cols = 512;
   /// Force the scalar Montgomery sweep even when the vector kernel is
   /// available (poly/simd.hpp). The two produce bit-identical rows and
   /// charge identical cost units; this pins dispatch for differential tests
@@ -75,11 +78,11 @@ EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
 /// The whole batched pipeline in one call: symbolic preprocessing over
 /// `reducers`, matrix build, elimination. `rows` must be canonical for
 /// opts.coeff (primitive integers / canonical residues); `reducers` must not
-/// be mutated during the call. `memo` optionally carries reducer
-/// resolutions across calls (see SymbolicMemo); results are identical with
-/// or without it.
+/// be mutated during the call. `table` optionally carries the run's
+/// monomial table across calls (see SymbolicTable); results and charged
+/// units are identical with or without it.
 EchelonOutput reduce_batch(const PolyContext& ctx, const std::vector<Polynomial>& rows,
                            const ReducerSet& reducers, const EchelonOptions& opts,
-                           SymbolicMemo* memo = nullptr);
+                           SymbolicTable* table = nullptr);
 
 }  // namespace gbd

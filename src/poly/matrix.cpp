@@ -29,51 +29,40 @@ MacaulayMatrix build_matrix(const PolyContext& ctx, const SymbolicFrame& frame,
   }
 
   if (coeff.is_zp()) {
+    GBD_CHECK_MSG(frame.table != nullptr, "build_matrix: frame has no table");
     ZpField field(coeff.prime);
     mat.has_runs = build_runs && field.delayed_reduction_ok();
     mat.zp_pivots.reserve(frame.pivots.size());
     if (mat.has_runs) mat.zp_runs.reserve(frame.pivots.size());
     for (const PivotProduct& pv : frame.pivots) {
-      const auto& terms = pv.reducer->terms();
-      ZpPivotRow row;
-      row.mont.reserve(terms.size());
-      // Monic once per batch: fold hc^{-1} into the Montgomery conversion so
-      // the kernel's per-use factor is just the accumulator cell itself.
-      Zp inv_head = field.inv(field.from_residue(zp_residue_u64(pv.reducer->hcoef())));
-      std::vector<std::uint64_t> canon;  // monic canonical residues, per term
-      if (mat.has_runs) canon.reserve(terms.size());
-      for (const Term& t : terms) {
-        std::uint64_t r = field.mul_canonical(inv_head, zp_residue_u64(t.coeff));
-        if (mat.has_runs) canon.push_back(r);
-        row.mont.push_back(field.from_residue(r).m);
-      }
+      const SymbolicTable::ZpCoeffs& zc =
+          frame.table->zp_coeffs(field, pv.reducer_id, *pv.reducer);
+      mat.zp_pivots.push_back(ZpPivotRow{zc.mont.data()});
+      const std::size_t nterms = pv.cols.size();
       // The term columns come from the frame (pv.cols); the cost model
       // still counts forming each product monomial mult·t.
-      CostCounter::charge(terms.size() * pv.mult.nvars());
-      cells += terms.size();
+      CostCounter::charge(nterms * pv.mult.nvars());
+      cells += nterms;
       if (mat.has_runs) {
         // Multiline layout: maximal consecutive-column runs of the tail
         // (j >= 1 — the monic head cancels exactly and is never streamed).
         ZpPivotRuns runs;
-        for (std::size_t j = 1; j < pv.cols.size(); ++j) {
+        runs.coeffs = zc.canon.data();
+        for (std::uint32_t j = 1; j < nterms; ++j) {
           if (!runs.runs.empty()) {
             ZpPivotRuns::Run& last = runs.runs.back();
             if (pv.cols[j] == last.col + last.len) {
               last.len += 1;
-              runs.coeffs.push_back(static_cast<std::uint32_t>(canon[j]));
               continue;
             }
           }
-          runs.runs.push_back(ZpPivotRuns::Run{
-              pv.cols[j], static_cast<std::uint32_t>(runs.coeffs.size()), 1});
-          runs.coeffs.push_back(static_cast<std::uint32_t>(canon[j]));
+          runs.runs.push_back(ZpPivotRuns::Run{pv.cols[j], j, 1});
         }
         // Deliberately not charged: whether runs are built depends on host
         // CPU dispatch, and charged units must be host-independent so
         // SimMachine virtual time reproduces everywhere.
         mat.zp_runs.push_back(std::move(runs));
       }
-      mat.zp_pivots.push_back(std::move(row));
     }
   }
   CostCounter::charge(cells);

@@ -14,9 +14,11 @@
 //     expanded — the fraction-free kernel reads the reducer products straight
 //     from the frame, because expanding them would copy coefficients the
 //     geobucket accumulator never touches more than once;
-//   · Zp pivot rows ARE expanded, made monic, and converted to Montgomery
-//     form once per batch, so eliminating one work-row cell costs one REDC
-//     per pivot-row term with no per-use normalization.
+//   · Zp pivot rows point at their reducer's monic coefficients, converted
+//     to residues and Montgomery form once per run and prime by the run
+//     table (SymbolicTable::zp_coeffs), so eliminating one work-row cell
+//     costs one REDC per pivot-row term with no per-use normalization, and
+//     building a matrix converts no coefficient a previous round converted.
 #pragma once
 
 #include <cstdint>
@@ -39,28 +41,31 @@ struct MatrixRow {
   std::size_t nnz() const { return cols.size(); }
 };
 
-/// A Zp pivot row expanded for the elimination hot loop: monic (head
-/// coefficient 1), every coefficient premultiplied into Montgomery form, so
-/// `acc -= f·row` is one mul_canonical per term. The columns are the
-/// product's PivotProduct::cols, parallel to `mont`.
+/// A Zp pivot row for the elimination hot loop: the reducer's monic
+/// coefficients in Montgomery form, so `acc -= f·row` is one mul_canonical
+/// per term. The words are the run table's (SymbolicTable::zp_coeffs),
+/// shared by every product of the same reducer; term j sits at the
+/// product's PivotProduct::cols[j].
 struct ZpPivotRow {
-  std::vector<std::uint64_t> mont;
+  const std::uint64_t* mont = nullptr;
 };
 
 /// The same pivot row in GBLA-style "multiline" layout for the SIMD sweep
 /// (poly/simd.hpp): the tail's columns grouped into maximal consecutive
-/// runs, coefficients stored densely per run as *canonical residues* (the
-/// delayed-reduction kernel multiplies plain residues, not Montgomery
-/// words). The head term is omitted — it cancels exactly against the swept
-/// cell. Only built when the field admits delayed reduction (p < 2^32).
+/// runs. A run's payload is always a slice of the reducer's monic
+/// *canonical residues* (the delayed-reduction kernel multiplies plain
+/// residues, not Montgomery words), so a run records only where it lands
+/// and which terms it covers. The head term is never in a run — it cancels
+/// exactly against the swept cell. Only built when the field admits delayed
+/// reduction (p < 2^32).
 struct ZpPivotRuns {
   struct Run {
     std::uint32_t col;  ///< first column of the run
-    std::uint32_t off;  ///< offset into `coeffs`
+    std::uint32_t off;  ///< index of its first term in the reducer (>= 1)
     std::uint32_t len;  ///< consecutive columns covered
   };
   std::vector<Run> runs;
-  std::vector<std::uint32_t> coeffs;  ///< concatenated run payloads
+  const std::uint32_t* coeffs = nullptr;  ///< the reducer's monic residues, term order
 };
 
 struct MacaulayMatrix {
@@ -85,6 +90,8 @@ struct MacaulayMatrix {
 /// the pivot block out as multiline runs for the SIMD sweep (ignored unless
 /// the field admits delayed reduction); callers that know they will
 /// dispatch scalar skip it so the two kernels pay comparable build costs.
+/// Zp pivot rows alias the coefficients cached in frame.table, so the
+/// matrix must not outlive that table.
 MacaulayMatrix build_matrix(const PolyContext& ctx, const SymbolicFrame& frame,
                             const std::vector<Polynomial>& rows, const CoeffOptions& coeff,
                             bool build_runs = false);

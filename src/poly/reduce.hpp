@@ -35,7 +35,7 @@ class ReducerSet {
   /// identifier of the reducer for per-reducer accounting.
   virtual const Polynomial* find_reducer(const Monomial& m, std::uint64_t* out_id) const = 0;
 
-  // Optional change-tracking interface, used by SymbolicMemo (symbolic.hpp)
+  // Optional change-tracking interface, used by SymbolicTable (symbolic.hpp)
   // to reuse reducer resolutions across batches. A set that grows append-only
   // reports a monotone version; find_reducer's answer for m can only change
   // between two versions if an element whose head divides m was appended in

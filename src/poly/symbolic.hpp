@@ -19,9 +19,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "bigint/zp.hpp"
 #include "poly/polynomial.hpp"
 #include "poly/reduce.hpp"
 
@@ -43,9 +45,12 @@ struct MatrixKernelStats {
   std::uint64_t simd_cells = 0;     ///< coefficient lanes streamed by vector AXPYs
   std::uint64_t simd_runs = 0;      ///< multiline runs streamed
   std::uint64_t sweep_ns = 0;       ///< wall nanoseconds inside the stage-1 sweep
-  // Symbolic frame reuse across adjacent-degree batches (SymbolicMemo).
+  std::uint64_t interreduce_ns = 0; ///< wall nanoseconds inside stage 2
+  // Symbolic frame reuse across adjacent-degree batches (SymbolicTable).
   std::uint64_t memo_hits = 0;      ///< closure monomials resolved from the memo
   std::uint64_t memo_misses = 0;    ///< closure monomials that ran find_reducer
+  std::uint64_t product_cache_hits = 0;  ///< products walked as cached tail ids
+  std::uint64_t table_monomials = 0;     ///< monomials interned into a table
   // Exact-path lazy pivot expansion (per touched column, shared per worker).
   std::uint64_t pivot_cache_builds = 0;  ///< products expanded on first touch
   std::uint64_t pivot_cache_hits = 0;    ///< reuses of an expanded product
@@ -66,6 +71,100 @@ struct PivotProduct {
   std::vector<std::uint32_t> cols;
 };
 
+struct MonoHash {
+  std::size_t operator()(const Monomial& m) const { return m.hash(); }
+};
+
+struct SymbolicFrame;
+class SymbolicTable;
+
+/// Build the frame for a batch of rows against `reducers`. Rows may be zero
+/// (they contribute nothing). The result's PivotProduct pointers alias
+/// `reducers`' backing storage — do not mutate the set until the frame is
+/// consumed. `table` carries interned monomials, reducer resolutions and
+/// their products across calls; it must only ever be used against the same
+/// logical, append-only reducer set (the sequential engine keeps one per
+/// run). Without one — or when the set reports no version — the call uses a
+/// table of its own, owned by the frame. The frame is bit-identical, and
+/// charges the same cost units, either way.
+SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<Polynomial>& rows,
+                                  const ReducerSet& reducers, SymbolicTable* table = nullptr);
+
+/// The monomial table of one F4 run. Every monomial the run meets is
+/// interned once to a dense u32 id, and three things hang off the id:
+///
+///   · the reducer resolution (reducer id, set version at resolution time,
+///     reducible?). An entry is reusable iff no head added after its stamp
+///     divides the monomial (ReducerSet::head_added_since) — existing
+///     elements never change under the append-only contract, and a newcomer
+///     can only displace the previous winner if its head divides the
+///     monomial;
+///   · the tail ids of the product mult·g for the reducer g the entry last
+///     chose. The product depends only on (monomial, g), so it stays valid
+///     for as long as the chosen reducer id does; a memo hit walks these ids
+///     and forms no monomial and hashes nothing;
+///   · the batch mark: a symbolic_preprocess call numbers its batch and
+///     marks each id the first time the closure reaches it.
+///
+/// Each reducer's monic Zp coefficients are cached here too, once per run
+/// and prime (build_matrix). Polynomial pointers are never cached: they are
+/// re-fetched by id per batch, because the backing vector may have
+/// reallocated.
+class SymbolicTable {
+ public:
+  /// Monic coefficients of one reducer over Z/pZ, in term order.
+  struct ZpCoeffs {
+    std::vector<std::uint64_t> mont;   ///< Montgomery words (scalar sweep)
+    std::vector<std::uint32_t> canon;  ///< canonical residues; only for p < 2^32 (SIMD sweep)
+  };
+
+  SymbolicTable() = default;
+  // Not copyable: monos_ points into the nodes of ids_.
+  SymbolicTable(const SymbolicTable&) = delete;
+  SymbolicTable& operator=(const SymbolicTable&) = delete;
+
+  /// The cached coefficients of `reducer` (reported as `reducer_id`),
+  /// converted on first use. The vectors never move once built, so their
+  /// data pointers stay valid until the table dies or a call with a
+  /// different prime than the last one drops the cache.
+  const ZpCoeffs& zp_coeffs(const ZpField& field, std::uint64_t reducer_id,
+                            const Polynomial& reducer);
+
+ private:
+  friend SymbolicFrame symbolic_preprocess(const PolyContext&, const std::vector<Polynomial>&,
+                                           const ReducerSet&, SymbolicTable*);
+
+  static constexpr std::uint64_t kNoProduct = ~std::uint64_t{0};
+  enum class Resolution : std::uint8_t { kUnknown, kIrreducible, kReducible };
+  struct Entry {
+    std::uint64_t reducer_id = 0;  ///< meaningful iff kReducible
+    std::uint64_t stamp = 0;       ///< reducer-set version at resolution
+    Resolution resolution = Resolution::kUnknown;
+    std::uint64_t product_of = kNoProduct;  ///< reducer id the cached tail belongs to
+    std::uint32_t tail_at = 0;              ///< the tail's ids: tails_[tail_at, +tail_len)
+    std::uint32_t tail_len = 0;
+  };
+
+  /// The id of m, interned on first sight.
+  std::uint32_t intern(const Monomial& m);
+  const Monomial& mono(std::uint32_t id) const { return *monos_[id]; }
+  /// Start a new batch: no id is marked in it yet.
+  void begin_batch();
+  /// Cache `tail` as the product tail of `id` for reducer `reducer_id`.
+  void store_tail(std::uint32_t id, std::uint64_t reducer_id,
+                  const std::vector<std::uint32_t>& tail);
+
+  std::unordered_map<Monomial, std::uint32_t, MonoHash> ids_;
+  std::vector<const Monomial*> monos_;  ///< keys of ids_ (node-stable)
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> tails_;
+  std::vector<std::uint32_t> mark_;   ///< per id: the batch that last reached it
+  std::vector<std::uint32_t> local_;  ///< per id: its index within that batch
+  std::uint32_t batch_ = 0;
+  std::uint64_t zp_prime_ = 0;
+  std::unordered_map<std::uint64_t, ZpCoeffs> zp_;  ///< by reducer id
+};
+
 /// Output of symbolic preprocessing: the monomial frame and the pivot
 /// schedule. Columns are the frame monomials in strictly decreasing order
 /// under the context's ordering (column 0 = largest); pivots are sorted by
@@ -74,8 +173,8 @@ struct PivotProduct {
 ///
 /// The frame also carries the column of every term it was built from — each
 /// batch row's terms (row_cols) and each pivot product's (PivotProduct::cols)
-/// — resolved while the closure was hashed, so laying out the matrix
-/// (matrix.hpp) is a gather: no monomial products, no column lookups.
+/// — so laying out the matrix (matrix.hpp) is a gather: no monomial
+/// products, no column lookups.
 struct SymbolicFrame {
   std::vector<Monomial> cols;        ///< strictly decreasing
   std::vector<PivotProduct> pivots;  ///< head columns strictly increasing
@@ -84,6 +183,11 @@ struct SymbolicFrame {
   std::vector<std::int32_t> pivot_of_col;
   /// Per batch row (in input order): the column of each of its terms.
   std::vector<std::vector<std::uint32_t>> row_cols;
+  /// The table the frame was built from; build_matrix reads the reducers'
+  /// cached coefficients from it. Points at `own_table` when the caller
+  /// supplied none.
+  SymbolicTable* table = nullptr;
+  std::unique_ptr<SymbolicTable> own_table;
 
   std::size_t ncols() const { return cols.size(); }
 
@@ -93,50 +197,7 @@ struct SymbolicFrame {
     return it == index_.end() ? -1 : static_cast<std::int64_t>(it->second);
   }
 
-  struct MonoHash {
-    std::size_t operator()(const Monomial& m) const { return m.hash(); }
-  };
   std::unordered_map<Monomial, std::uint32_t, MonoHash> index_;
 };
-
-/// Cross-batch cache of reducer resolutions. Adjacent-degree batches share
-/// most of their closure monomials, so rebuilding the frame from scratch
-/// re-runs find_reducer over a mostly unchanged reducer set. The memo keys
-/// each resolved monomial to (reducer id, set version at resolution time,
-/// reducible?); an entry is reusable iff no head added after its stamp
-/// divides the monomial (ReducerSet::head_added_since) — existing elements
-/// never change under the append-only contract, and a newcomer can only
-/// displace the previous winner if its head divides the monomial. Pointers
-/// are never cached: they are re-fetched by id per batch, because the
-/// backing vector may have reallocated. Only effective against sets that
-/// report a version (VectorReducerSet); unversioned sets bypass the memo.
-class SymbolicMemo {
- public:
-  struct Entry {
-    std::uint64_t reducer_id = 0;  ///< meaningful iff reducible
-    std::uint64_t stamp = 0;       ///< reducer-set version at resolution
-    bool reducible = false;
-  };
-
-  Entry* lookup(const Monomial& m) {
-    auto it = map_.find(m);
-    return it == map_.end() ? nullptr : &it->second;
-  }
-  void store(const Monomial& m, Entry e) { map_[m] = e; }
-  std::size_t size() const { return map_.size(); }
-  void clear() { map_.clear(); }
-
- private:
-  std::unordered_map<Monomial, Entry, SymbolicFrame::MonoHash> map_;
-};
-
-/// Build the frame for a batch of rows against `reducers`. Rows may be zero
-/// (they contribute nothing). The result's PivotProduct pointers alias
-/// `reducers`' backing storage — do not mutate the set until the frame is
-/// consumed. `memo`, if given, caches resolutions across calls; it must only
-/// ever be used against the same logical reducer set (the sequential engine
-/// keeps one per run). The frame is bit-identical with or without it.
-SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<Polynomial>& rows,
-                                  const ReducerSet& reducers, SymbolicMemo* memo = nullptr);
 
 }  // namespace gbd

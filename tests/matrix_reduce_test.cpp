@@ -16,7 +16,11 @@
 //     polled (never during a matrix round — the frame holds pointers into
 //     replica storage), so the protocol invariants get their own sweep;
 //   · the multi-modular driver passes matrix_reduce through to its per-prime
-//     jobs and still reconstructs the exact rational answer.
+//     jobs and still reconstructs the exact rational answer;
+//   · the run table and stage 2 on columns: frames from one table kept for a
+//     whole run equal frames from a fresh table every round, and the
+//     column-space stage 2 equals the polynomial-level oracle, rows and
+//     charged units both.
 #include "poly/echelon.hpp"
 
 #include <gtest/gtest.h>
@@ -29,6 +33,7 @@
 #include "gb/modular.hpp"
 #include "gb/parallel.hpp"
 #include "gb/sequential.hpp"
+#include "io/parse.hpp"
 #include "machine/chaos.hpp"
 #include "machine/thread_machine.hpp"
 #include "poly/coeff.hpp"
@@ -36,6 +41,8 @@
 #include "poly/simd.hpp"
 #include "poly/spoly.hpp"
 #include "problems/problems.hpp"
+#include "oracles.hpp"
+#include "support/cost.hpp"
 #include "support/rng.hpp"
 
 namespace gbd {
@@ -48,12 +55,14 @@ const std::uint64_t kPrimes[] = {prev_prime_u64(std::uint64_t{1} << 31),
                                  prev_prime_u64(std::uint64_t{1} << 20), prev_prime_u64(40000)};
 
 /// Rebuild a system under a different monomial order (terms re-sorted;
-/// content untouched, so primitivity survives).
+/// content untouched, so primitivity survives). The elimination order
+/// eliminates the first half of the variables.
 PolySystem with_order(const PolySystem& sys, OrderKind order) {
   PolySystem out;
   out.name = sys.name;
   out.ctx = sys.ctx;
   out.ctx.order = order;
+  if (order == OrderKind::kElim) out.ctx.elim_vars = out.ctx.nvars() / 2;
   for (const auto& p : sys.polys) {
     std::vector<Term> terms(p.terms().begin(), p.terms().end());
     out.polys.push_back(Polynomial::from_terms(out.ctx, std::move(terms)));
@@ -75,6 +84,20 @@ std::vector<Polynomial> canonical_set(const PolyContext& ctx, const std::vector<
   return out;
 }
 
+/// Every nonzero S-polynomial of a non-coprime pair of `set`, in (i, j) order.
+std::vector<Polynomial> pair_spolys(const PolyContext& ctx, const std::vector<Polynomial>& set,
+                                    const CoeffOptions& coeff) {
+  std::vector<Polynomial> rows;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    for (std::size_t j = i + 1; j < set.size(); ++j) {
+      if (Monomial::coprime(set[i].hmono(), set[j].hmono())) continue;
+      Polynomial s = spoly(ctx, set[i], set[j], coeff);
+      if (!s.is_zero()) rows.push_back(std::move(s));
+    }
+  }
+  return rows;
+}
+
 /// The differential core: every pairwise non-coprime S-polynomial of
 /// `reducers` goes through the matrix as one batch; each surviving row must
 /// equal the per-poly tail-reduced normal form exactly, and src_zeroed must
@@ -83,14 +106,7 @@ void expect_matrix_matches_per_poly(const PolyContext& ctx,
                                     const std::vector<Polynomial>& reducers,
                                     const CoeffOptions& coeff, const std::string& label) {
   VectorReducerSet set(&reducers);
-  std::vector<Polynomial> rows;
-  for (std::size_t i = 0; i < reducers.size(); ++i) {
-    for (std::size_t j = i + 1; j < reducers.size(); ++j) {
-      if (Monomial::coprime(reducers[i].hmono(), reducers[j].hmono())) continue;
-      Polynomial s = spoly(ctx, reducers[i], reducers[j], coeff);
-      if (!s.is_zero()) rows.push_back(std::move(s));
-    }
-  }
+  std::vector<Polynomial> rows = pair_spolys(ctx, reducers, coeff);
   if (rows.empty()) return;
 
   ReduceOptions ropts;
@@ -271,6 +287,18 @@ TEST(MatrixCostParityTest, ChargedUnitsArePinned) {
   }
 }
 
+TEST(MatrixCostParityTest, ThreadedSweepChargesArePinned) {
+  // Recorded before the run table and column-space stage 2. Three sweep
+  // workers write column rows in parallel; the makespan charge must not move.
+  GbConfig cfg;
+  cfg.coeff = CoeffOptions::zp(kPrimes[0]);
+  cfg.matrix_reduce = true;
+  cfg.matrix_threads = 3;
+  SequentialResult r = groebner_sequential(load_problem("katsura(5)"), cfg);
+  EXPECT_EQ(r.stats.work_units, 665737u);
+  EXPECT_EQ(r.elapsed_units, 665737u);
+}
+
 TEST(MatrixGlpTest, ChaosScheduleStaysCoherent) {
   // Full-intensity schedule adversary: jitter, reordering, duplication of
   // the idempotent handlers, starvation. Matrix rounds must neither serve
@@ -409,14 +437,7 @@ TEST(SimdDifferentialTest, ForcedScalarAndAutoDispatchAgreeRowForRow) {
       CoeffOptions zp = CoeffOptions::zp(p);
       std::vector<Polynomial> reducers = canonical_set(sys.ctx, sys.polys, zp);
       VectorReducerSet set(&reducers);
-      std::vector<Polynomial> rows;
-      for (std::size_t i = 0; i < reducers.size(); ++i) {
-        for (std::size_t j = i + 1; j < reducers.size(); ++j) {
-          if (Monomial::coprime(reducers[i].hmono(), reducers[j].hmono())) continue;
-          Polynomial s = spoly(sys.ctx, reducers[i], reducers[j], zp);
-          if (!s.is_zero()) rows.push_back(std::move(s));
-        }
-      }
+      std::vector<Polynomial> rows = pair_spolys(sys.ctx, reducers, zp);
       if (rows.empty()) continue;
       EchelonOptions auto_opts;
       auto_opts.coeff = zp;
@@ -543,6 +564,176 @@ TEST(MatrixModularTest, PerPrimeJobsInheritMatrixReduce) {
   for (std::size_t i = 0; i < res.basis.size(); ++i) {
     EXPECT_TRUE(res.basis[i].equals(want[i])) << "element " << i;
   }
+}
+
+// ——— One monomial table per run, column-space stage 2 ———
+
+TEST(MatrixStageTwoTest, ColumnSpaceMatchesPolynomialOracle) {
+  // echelon_reduce with interreduce on must return exactly what the
+  // polynomial-level stage 2 makes of its interreduce-off output — same
+  // rows, same zeroed sources — and charge exactly what that stage charges.
+  std::uint64_t combinations = 0;
+  for (const char* name : {"katsura(5)", "katsura(6)", "cyclic(5)", "trinks1", "eco(6)"}) {
+    PolySystem base = load_problem(name);
+    for (OrderKind order :
+         {OrderKind::kLex, OrderKind::kGrLex, OrderKind::kGRevLex, OrderKind::kElim}) {
+      PolySystem sys = with_order(base, order);
+      for (std::uint64_t p : kPrimes) {
+        const CoeffOptions zp = CoeffOptions::zp(p);
+        const ZpField field(p);
+        std::vector<Polynomial> gens = canonical_set(sys.ctx, sys.polys, zp);
+        VectorReducerSet set(&gens);
+        std::vector<Polynomial> rows = pair_spolys(sys.ctx, gens, zp);
+        if (rows.empty()) continue;
+        for (bool force_scalar : {false, true}) {
+          for (std::size_t threads : {1u, 3u}) {
+            const std::string label = std::string(name) + " " + order_name(order) + " mod " +
+                                      std::to_string(p) + (force_scalar ? " scalar" : " auto") +
+                                      " threads " + std::to_string(threads);
+            SymbolicFrame frame = symbolic_preprocess(sys.ctx, rows, set);
+            const bool runs = !force_scalar && simd_level() != SimdLevel::kScalar;
+            MacaulayMatrix mat = build_matrix(sys.ctx, frame, rows, zp, runs);
+            EchelonOptions on;
+            on.coeff = zp;
+            on.force_scalar = force_scalar;
+            on.nthreads = threads;
+            EchelonOptions off = on;
+            off.interreduce = false;
+
+            const std::uint64_t axpys0 = matrix_kernel_stats().axpys;
+            CostScope off_cost;
+            EchelonOutput swept = echelon_reduce(sys.ctx, frame, mat, off);
+            const std::uint64_t off_units = off_cost.elapsed();
+            const std::uint64_t axpys1 = matrix_kernel_stats().axpys;
+            CostScope on_cost;
+            EchelonOutput got = echelon_reduce(sys.ctx, frame, mat, on);
+            const std::uint64_t on_units = on_cost.elapsed();
+            combinations += (matrix_kernel_stats().axpys - axpys1) - (axpys1 - axpys0);
+            CostScope oracle_cost;
+            EchelonOutput want = oracle::zp_interreduce_polys(sys.ctx, field, std::move(swept));
+            const std::uint64_t oracle_units = oracle_cost.elapsed();
+
+            EXPECT_EQ(got.src_zeroed, want.src_zeroed) << label;
+            ASSERT_EQ(got.rows.size(), want.rows.size()) << label;
+            for (std::size_t i = 0; i < got.rows.size(); ++i) {
+              EXPECT_EQ(got.rows[i].src, want.rows[i].src) << label << " row " << i;
+              EXPECT_TRUE(got.rows[i].poly.equals(want.rows[i].poly)) << label << " row " << i;
+            }
+            EXPECT_EQ(on_units - off_units, oracle_units) << label;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(combinations, 0u) << "no input reached a stage-2 combination";
+}
+
+/// Field-by-field frame equality (col_of is `cols` inverted).
+void expect_same_frame(const SymbolicFrame& a, const SymbolicFrame& b, const std::string& label) {
+  ASSERT_EQ(a.cols.size(), b.cols.size()) << label;
+  for (std::size_t c = 0; c < a.cols.size(); ++c) {
+    EXPECT_TRUE(a.cols[c] == b.cols[c]) << label << " column " << c;
+  }
+  EXPECT_EQ(a.pivot_of_col, b.pivot_of_col) << label;
+  ASSERT_EQ(a.pivots.size(), b.pivots.size()) << label;
+  for (std::size_t k = 0; k < a.pivots.size(); ++k) {
+    EXPECT_EQ(a.pivots[k].reducer_id, b.pivots[k].reducer_id) << label << " pivot " << k;
+    EXPECT_TRUE(a.pivots[k].mult == b.pivots[k].mult) << label << " pivot " << k;
+    EXPECT_EQ(a.pivots[k].cols, b.pivots[k].cols) << label << " pivot " << k;
+  }
+  EXPECT_EQ(a.row_cols, b.row_cols) << label;
+}
+
+TEST(MatrixTableTest, RunTableFramesMatchFreshTablesEveryRound) {
+  // A plain F4 loop — every non-coprime pair, lowest lcm degree first, one
+  // matrix per degree — builds each round's frame twice: from one table
+  // kept for the whole run, and from a table of the call's own.
+  for (const char* name : {"katsura(5)", "cyclic(5)"}) {
+    PolySystem sys = load_problem(name);
+    const CoeffOptions zp = CoeffOptions::zp(kPrimes[0]);
+    std::vector<Polynomial> basis = canonical_set(sys.ctx, sys.polys, zp);
+    VectorReducerSet set(&basis);
+    SymbolicTable table;
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    auto add_pairs = [&](std::size_t j) {
+      for (std::size_t i = 0; i < j; ++i) {
+        if (!Monomial::coprime(basis[i].hmono(), basis[j].hmono())) pairs.emplace_back(i, j);
+      }
+    };
+    for (std::size_t j = 1; j < basis.size(); ++j) add_pairs(j);
+    auto lcm_degree = [&](const std::pair<std::size_t, std::size_t>& pr) {
+      return Monomial::lcm(basis[pr.first].hmono(), basis[pr.second].hmono()).degree();
+    };
+    const std::uint64_t hits_before = matrix_kernel_stats().product_cache_hits;
+    std::size_t rounds = 0;
+    while (!pairs.empty()) {
+      std::uint32_t deg = lcm_degree(pairs.front());
+      for (const auto& pr : pairs) deg = std::min(deg, lcm_degree(pr));
+      std::vector<Polynomial> rows;
+      std::vector<std::pair<std::size_t, std::size_t>> rest;
+      for (const auto& pr : pairs) {
+        if (lcm_degree(pr) != deg) {
+          rest.push_back(pr);
+          continue;
+        }
+        Polynomial s = spoly(sys.ctx, basis[pr.first], basis[pr.second], zp);
+        if (!s.is_zero()) rows.push_back(std::move(s));
+      }
+      pairs = std::move(rest);
+      if (rows.empty()) continue;
+      const std::string label = std::string(name) + " round " + std::to_string(rounds);
+      SymbolicFrame run = symbolic_preprocess(sys.ctx, rows, set, &table);
+      SymbolicFrame fresh = symbolic_preprocess(sys.ctx, rows, set);
+      expect_same_frame(run, fresh, label);
+      EchelonOptions eopts;
+      eopts.coeff = zp;
+      MacaulayMatrix mat = build_matrix(sys.ctx, run, rows, zp);
+      EchelonOutput out = echelon_reduce(sys.ctx, run, mat, eopts);
+      for (EchelonOutput::NewRow& nr : out.rows) {
+        basis.push_back(std::move(nr.poly));
+        add_pairs(basis.size() - 1);
+      }
+      ++rounds;
+    }
+    EXPECT_GT(rounds, 2u) << name;
+    EXPECT_GT(matrix_kernel_stats().product_cache_hits, hits_before) << name;
+  }
+}
+
+TEST(MatrixTableTest, DisplacedReducerRederivesTheCachedProduct) {
+  // x^2*y is first reduced by g0 (head x^2). Appending g1 (head x*y, fewer
+  // terms, so preferred) displaces g0 for that monomial: the table must
+  // notice, resolve it again and derive x*g1 instead of walking y*g0.
+  PolySystem sys = parse_system_or_die(R"(
+    vars x, y, z;
+    order grevlex;
+    x^2 + y*z + 1;
+  )");
+  const PolyContext& ctx = sys.ctx;
+  std::vector<Polynomial> basis = sys.polys;
+  VectorReducerSet set(&basis);
+  SymbolicTable table;
+  const std::vector<Polynomial> rows = {parse_poly_or_die(ctx, "x^2*y + z")};
+  const Monomial m = rows[0].hmono();
+  const MatrixKernelStats& ks = matrix_kernel_stats();
+
+  auto round = [&](const std::string& label, std::uint64_t want_reducer,
+                   std::uint64_t want_cache_hits) {
+    const std::uint64_t hits_before = ks.product_cache_hits;
+    SymbolicFrame run = symbolic_preprocess(ctx, rows, set, &table);
+    EXPECT_EQ(ks.product_cache_hits - hits_before, want_cache_hits) << label;
+    expect_same_frame(run, symbolic_preprocess(ctx, rows, set), label);
+    const std::int64_t c = run.col_of(m);
+    ASSERT_GE(c, 0) << label;
+    const std::int32_t pv = run.pivot_of_col[static_cast<std::size_t>(c)];
+    ASSERT_GE(pv, 0) << label;
+    EXPECT_EQ(run.pivots[static_cast<std::size_t>(pv)].reducer_id, want_reducer) << label;
+  };
+  round("first sight", 0, 0);
+  round("unchanged set", 0, 1);
+  basis.push_back(parse_poly_or_die(ctx, "x*y + z"));
+  round("after the displacing append", 1, 0);
+  round("unchanged again", 1, 1);
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "bigint/zp.hpp"
 #include "gb/parallel.hpp"
+#include "gb/sequential.hpp"
 #include "machine/chaos.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -245,6 +247,25 @@ TEST(ObsEndToEndTest, MetricsCoverEveryLayer) {
   // Every series has one slot per processor.
   for (const auto& [name, vals] : snap.series) {
     EXPECT_EQ(vals.size(), 4u) << name;
+  }
+}
+
+TEST(ObsEndToEndTest, MatrixRunTableAndStageTwoSeries) {
+  // A sequential Zp matrix run keeps one monomial table: its interned
+  // monomials, cached-product walks and stage-2 time are windowed into
+  // kernel.matrix.* like every other kernel counter.
+  PolySystem sys = load_problem("katsura4");
+  GbConfig cfg;
+  cfg.coeff = CoeffOptions::zp(prev_prime_u64(std::uint64_t{1} << 31));
+  cfg.matrix_reduce = true;
+  MetricsRegistry reg(1);
+  KernelBaseline base = kernel_baseline();
+  groebner_sequential(sys, cfg);
+  collect_kernel_delta(reg, 0, base);
+  MetricsSnapshot snap = reg.snapshot();
+  for (const char* name : {"kernel.matrix.table_monomials", "kernel.matrix.product_cache_hits",
+                           "kernel.matrix.interreduce_ns", "kernel.simd.sweep_ns"}) {
+    EXPECT_GT(snap.total(name), 0u) << name;
   }
 }
 

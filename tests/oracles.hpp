@@ -10,14 +10,21 @@
 //     The library version reduces against one set over the whole minimal
 //     basis that refuses only the element itself; both must return the same
 //     polynomials and charge the same cost units.
+//   · zp_interreduce_polys — stage 2 of the Zp echelon kernel as first
+//     written, on Polynomials: zp_combine merges on monomial order. The
+//     library runs it on the sweep's (column, residue) rows, merging on
+//     column order; both must keep the same rows, zero the same sources and
+//     charge the same cost units.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <unordered_map>
 #include <vector>
 
 #include "poly/coeff.hpp"
+#include "poly/echelon.hpp"
 #include "poly/monomial.hpp"
 #include "poly/reduce.hpp"
 #include "support/check.hpp"
@@ -173,6 +180,43 @@ inline std::vector<Polynomial> copying_reduce_basis(const PolyContext& ctx,
     return ctx.cmp(a.hmono(), b.hmono()) < 0;
   });
   return out;
+}
+
+/// Stage 2 over Zp on Polynomials. `swept` is echelon_reduce's output with
+/// interreduce off (monic rows in src order); the result is what the same
+/// call with interreduce on must return.
+inline EchelonOutput zp_interreduce_polys(const PolyContext& ctx, const ZpField& field,
+                                          EchelonOutput swept) {
+  std::vector<EchelonOutput::NewRow>& alive = swept.rows;
+  if (alive.size() > 1) {
+    std::sort(alive.begin(), alive.end(), [&](const auto& a, const auto& b) {
+      int c = ctx.cmp(a.poly.hmono(), b.poly.hmono());
+      if (c != 0) return c > 0;
+      return a.src < b.src;
+    });
+    std::unordered_map<Monomial, std::size_t, MonoHash> head_of;
+    std::vector<EchelonOutput::NewRow> kept;
+    Monomial unit(ctx.nvars());
+    for (auto& w : alive) {
+      while (!w.poly.is_zero()) {
+        auto it = head_of.find(w.poly.hmono());
+        if (it == head_of.end()) break;
+        const Polynomial& piv = kept[it->second].poly;  // monic
+        std::uint64_t f = field.p() - zp_residue_u64(w.poly.hcoef());
+        w.poly = zp_combine(ctx, field, 1, unit, w.poly, f, unit, piv);
+      }
+      if (w.poly.is_zero()) {
+        swept.src_zeroed[w.src] = true;
+        continue;
+      }
+      w.poly.make_monic(field);
+      head_of.emplace(w.poly.hmono(), kept.size());
+      kept.push_back(std::move(w));
+    }
+    alive = std::move(kept);
+  }
+  std::sort(alive.begin(), alive.end(), [](const auto& a, const auto& b) { return a.src < b.src; });
+  return swept;
 }
 
 }  // namespace oracle

@@ -15,13 +15,22 @@
 //
 // Knowledge of *membership* (ids + head monomials) is always complete up to
 // in-flight invalidations on both stores; what varies is body residency.
+//
+// AddToSet has one API on both stores: a round of up to adds_per_round()
+// adds (add_open/add_push/add_close, then poll add_done). The store picks
+// the round size and the wire format — the replicated store sends one
+// message per id and rounds of one, or one multi-id envelope per
+// destination and rounds of up to kBatchRoundAdds under
+// BasisWireConfig::batch_invalidations; the hybrid store sends one message
+// per id and rounds of one. Both share the adder's bookkeeping (fresh ids,
+// the ack token, per-processor ack dedup, completed adds; add_round.hpp),
+// so every ack carries its round's token and is idempotent.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "poly/reduce.hpp"
-#include "support/check.hpp"
 
 namespace gbd {
 
@@ -51,13 +60,11 @@ struct BasisStats {
   std::uint64_t body_batches = 0;
 };
 
-/// Wire-level batching knobs for the basis protocol (PR 3). Off by default:
-/// the one-message-per-id path is the differential oracle the batched path
-/// is tested against.
+/// Wire-level batching knobs for the replicated store's protocol. Off by
+/// default: one message per id.
 struct BasisWireConfig {
-  /// Coalesce the invalidation broadcast of a whole add batch into one
-  /// multi-id envelope per destination (enables the engine's multi-add
-  /// lock rounds via add_open/add_push/add_close).
+  /// Admit several adds per round (kBatchRoundAdds) and announce the whole
+  /// round in one multi-id envelope per destination.
   bool batch_invalidations = false;
   /// Coalesce validation fetches by tree parent and body replies by
   /// requester into multi-id envelopes.
@@ -73,25 +80,19 @@ class BasisStore {
   /// Install an input polynomial present on every processor from the start.
   virtual void preload(PolyId id, Polynomial poly) = 0;
 
-  /// AddToSet, split-phase: store locally, broadcast the announcement, and
-  /// collect acknowledgements; poll until add_done().
-  virtual PolyId begin_add(Polynomial poly) = 0;
+  /// AddToSet, split-phase, in rounds. add_open() starts a round; each
+  /// add_push() stores one body locally under a fresh id — immediately
+  /// visible to find()/reducer_set(), so a later member reduces against
+  /// earlier ones; add_close() announces the members to every other
+  /// processor and starts one acknowledgement round; add_done() turns true
+  /// when every ack is in. A round holds at most adds_per_round() members:
+  /// the store picks that number together with its wire format, so one
+  /// engine code path drives the per-id and the batched protocol alike.
+  virtual std::size_t adds_per_round() const = 0;
+  virtual void add_open() = 0;
+  virtual PolyId add_push(Polynomial poly) = 0;
+  virtual void add_close() = 0;
   virtual bool add_done() const = 0;
-
-  /// Batched AddToSet (optional; stores that return false from
-  /// supports_batch_add keep the one-at-a-time contract). add_open() starts
-  /// a batch; each add_push() stores the body locally — immediately visible
-  /// to find()/reducer_set(), so later batch members reduce against earlier
-  /// ones — and add_close() broadcasts ONE multi-id invalidation envelope
-  /// per destination and starts a single ack round for the whole batch;
-  /// add_done() turns true when that round completes.
-  virtual bool supports_batch_add() const { return false; }
-  virtual void add_open() { GBD_CHECK_MSG(false, "batched add unsupported by this store"); }
-  virtual PolyId add_push(Polynomial) {
-    GBD_CHECK_MSG(false, "batched add unsupported by this store");
-    return 0;
-  }
-  virtual void add_close() { GBD_CHECK_MSG(false, "batched add unsupported by this store"); }
 
   /// Validate, split-phase: start whatever fetches this store's consistency
   /// policy wants; poll until valid().

@@ -1,12 +1,11 @@
 #include "basis/hybrid_basis.hpp"
 
-#include "basis/replicated_basis.hpp"
 #include "support/check.hpp"
 
 namespace gbd {
 
 HybridBasis::HybridBasis(Proc& self, HybridConfig cfg)
-    : self_(self), cfg_(cfg), reducer_view_(this) {
+    : self_(self), cfg_(cfg), round_(self, 1), reducer_view_(this) {
   if (cfg_.homes < 1) cfg_.homes = 1;
   if (cfg_.homes > self.nprocs()) cfg_.homes = self.nprocs();
   // A non-home processor must be able to hold at least a working set of
@@ -15,10 +14,6 @@ HybridBasis::HybridBasis(Proc& self, HybridConfig cfg)
   // engine would deadlock on its own fetches.
   if (cfg_.homes < self.nprocs() && cfg_.cache_capacity < 4) cfg_.cache_capacity = 4;
   self_.on(kBaInvalidate, [this](Proc&, int src, Reader& r) { on_invalidate(src, r); });
-  self_.on(kBaInvAck, [this](Proc&, int, Reader&) {
-    GBD_CHECK_MSG(acks_missing_ > 0, "unexpected invalidation ack");
-    acks_missing_ -= 1;
-  });
   self_.on(kBaFetch, [this](Proc&, int src, Reader& r) { on_fetch(src, r); });
   self_.on(kBaBody, [this](Proc&, int, Reader& r) { on_body(r, /*as_home=*/false); });
   self_.on(kBaHomeBody, [this](Proc&, int, Reader& r) { on_body(r, /*as_home=*/true); });
@@ -72,9 +67,7 @@ void HybridBasis::store_body(PolyId id, Polynomial poly) {
 
 void HybridBasis::preload(PolyId id, Polynomial poly) {
   GBD_CHECK_MSG(head_index_.find(id) == head_index_.end(), "preload of duplicate id");
-  if (poly_id_owner(id) == self_.id() && poly_id_seq(id) >= next_local_seq_) {
-    next_local_seq_ = poly_id_seq(id) + 1;
-  }
+  round_.reserve(id);
   announce(id, poly.hmono());
   // Inputs are resident everywhere regardless of the home policy (they are
   // part of the program text, not communicated state).
@@ -82,11 +75,9 @@ void HybridBasis::preload(PolyId id, Polynomial poly) {
   stats_.max_resident = std::max(stats_.max_resident, resident_.size());
 }
 
-PolyId HybridBasis::begin_add(Polynomial poly) {
-  GBD_CHECK_MSG(add_done(), "begin_add while a previous add is still in flight");
-  PolyId id = make_poly_id(self_.id(), next_local_seq_++);
-  Monomial head = poly.hmono();
-  announce(id, head);
+PolyId HybridBasis::add_push(Polynomial poly) {
+  PolyId id = round_.push();
+  announce(id, poly.hmono());
 
   // Eagerly place the body on the other home processors.
   Writer body_msg;
@@ -99,24 +90,27 @@ PolyId HybridBasis::begin_add(Polynomial poly) {
 
   resident_.emplace(id, std::move(poly));  // owner is always a home
   stats_.max_resident = std::max(stats_.max_resident, resident_.size());
-
-  acks_missing_ = self_.nprocs() - 1;
-  for (int p = 0; p < self_.nprocs(); ++p) {
-    if (p == self_.id()) continue;
-    Writer w;
-    w.u64(id);
-    head.write(w);
-    self_.send(p, kBaInvalidate, w.take());
-    stats_.invalidations_sent += 1;
-  }
   return id;
+}
+
+void HybridBasis::add_close() {
+  for (PolyId id : round_.close()) {
+    for (int p = 0; p < self_.nprocs(); ++p) {
+      if (p == self_.id()) continue;
+      Writer w;
+      w.u64(id);
+      head_index_.at(id).write(w);
+      self_.send(p, kBaInvalidate, w.take());
+      stats_.invalidations_sent += 1;
+    }
+  }
 }
 
 void HybridBasis::on_invalidate(int src, Reader& r) {
   PolyId id = r.u64();
   Monomial head = Monomial::read(r);
   announce(id, std::move(head));
-  self_.send(src, kBaInvAck, {});
+  AddRound::ack(self_, src, id);
 }
 
 void HybridBasis::prefetch(PolyId id) {

@@ -14,22 +14,20 @@
 // an absent body (BasisStore::pending_reducer), so bounded memory costs
 // extra fetch traffic and latency, never correctness.
 //
-// Reuses the replicated store's wire protocol (handler ids 120..123) plus
-// one extra message: the owner eagerly pushes each new body to its other
-// home processors.
+// Reuses the replicated store's per-id wire protocol (handler ids 120..123)
+// and its add-round bookkeeping (add_round.hpp: rounds of one, id-carrying
+// idempotent acks), plus one extra message: the owner eagerly pushes each
+// new body to its other home processors.
 #pragma once
 
 #include <list>
 #include <map>
 
-#include "basis/basis_store.hpp"
+#include "basis/add_round.hpp"
 #include "machine/machine.hpp"
 #include "poly/divmask.hpp"
 
 namespace gbd {
-
-/// Handler-id 124 (extends the 120..123 block of replicated_basis.hpp).
-inline constexpr HandlerId kBaHomeBody = 124;
 
 struct HybridConfig {
   /// Number of consecutive processors (starting at the owner) that hold
@@ -45,8 +43,11 @@ class HybridBasis final : public BasisStore {
   HybridBasis(Proc& self, HybridConfig cfg);
 
   void preload(PolyId id, Polynomial poly) override;
-  PolyId begin_add(Polynomial poly) override;
-  bool add_done() const override { return acks_missing_ == 0; }
+  std::size_t adds_per_round() const override { return round_.max_adds(); }
+  void add_open() override { round_.open(); }
+  PolyId add_push(Polynomial poly) override;
+  void add_close() override;
+  bool add_done() const override { return round_.done(); }
   /// Consistency is maintained incrementally at the head level; there is
   /// nothing batched to fetch.
   void begin_validate() override {}
@@ -103,8 +104,7 @@ class HybridBasis final : public BasisStore {
   std::map<PolyId, std::vector<int>> pending_requesters_;
   std::map<PolyId, bool> fetch_in_flight_;
 
-  std::uint32_t next_local_seq_ = 0;
-  int acks_missing_ = 0;
+  AddRound round_;
   ReducerView reducer_view_;
 };
 

@@ -10,23 +10,21 @@
 namespace gbd {
 
 ReplicatedBasis::ReplicatedBasis(Proc& self, BasisWireConfig wire)
-    : self_(self), wire_(wire), reducer_view_(this) {
+    : self_(self),
+      wire_(wire),
+      round_(self, wire.batch_invalidations ? kBatchRoundAdds : 1),
+      reducer_view_(this) {
   self_.on(kBaInvalidate, [this](Proc&, int src, Reader& r) { on_invalidate(src, r); });
   self_.on(kBaInvBatch, [this](Proc&, int src, Reader& r) { on_inv_batch(src, r); });
-  self_.on(kBaInvAck, [this](Proc&, int src, Reader& r) { on_inv_ack(src, r); });
   self_.on(kBaFetch, [this](Proc&, int src, Reader& r) { on_fetch(src, r); });
   self_.on(kBaFetchBatch, [this](Proc&, int src, Reader& r) { on_fetch_batch(src, r); });
   self_.on(kBaBody, [this](Proc&, int, Reader& r) { on_body(r); });
   self_.on(kBaBodyBatch, [this](Proc&, int, Reader& r) { on_body_batch(r); });
-  ack_seen_.assign(static_cast<std::size_t>(self_.nprocs()), false);
 }
 
 void ReplicatedBasis::preload(PolyId id, Polynomial poly) {
   GBD_CHECK_MSG(replica_.find(id) == replica_.end(), "preload of duplicate id");
-  // Keep locally-assigned ids clear of preloaded ones sharing our owner slot.
-  if (poly_id_owner(id) == self_.id() && poly_id_seq(id) >= next_local_seq_) {
-    next_local_seq_ = poly_id_seq(id) + 1;
-  }
+  round_.reserve(id);
   store(id, std::move(poly));
 }
 
@@ -67,66 +65,31 @@ int ReplicatedBasis::tree_parent(int owner) const {
   return (parent_pos + owner) % p;
 }
 
-PolyId ReplicatedBasis::begin_add(Polynomial poly) {
-  GBD_CHECK_MSG(add_done(), "begin_add while a previous add is still in flight");
-  GBD_CHECK_MSG(!batch_open_, "begin_add inside an open add batch");
-  PolyId id = make_poly_id(self_.id(), next_local_seq_++);
-  Monomial head = poly.hmono();
-  store(id, std::move(poly));
-  acks_missing_ = self_.nprocs() - 1;
-  add_in_flight_ = id;
-  in_flight_ids_.assign(1, id);
-  ack_seen_.assign(static_cast<std::size_t>(self_.nprocs()), false);
-  if (ProcTracer* t = self_.tracer()) {
-    t->async_begin(Ev::kAddRound, self_.now(), id, 1);
-    if (acks_missing_ == 0) t->async_end(Ev::kAddRound, self_.now(), id);
-  }
-  if (acks_missing_ == 0) completed_adds_.push_back(id);  // 1-proc degenerate add
-  for (int p = 0; p < self_.nprocs(); ++p) {
-    if (p == self_.id()) continue;
-    Writer w;
-    w.u64(id);
-    head.write(w);
-    self_.send(p, kBaInvalidate, w.take());
-    stats_.invalidations_sent += 1;
-  }
-  return id;
-}
-
-void ReplicatedBasis::add_open() {
-  GBD_CHECK_MSG(add_done(), "add_open while a previous add is still in flight");
-  GBD_CHECK_MSG(!batch_open_, "add_open twice");
-  batch_open_ = true;
-  in_flight_ids_.clear();
-}
-
 PolyId ReplicatedBasis::add_push(Polynomial poly) {
-  GBD_CHECK_MSG(batch_open_, "add_push outside an open add batch");
-  PolyId id = make_poly_id(self_.id(), next_local_seq_++);
-  store(id, std::move(poly));  // locally visible at once: later pushes reduce against it
-  in_flight_ids_.push_back(id);
+  PolyId id = round_.push();
+  store(id, std::move(poly));  // locally visible at once: later members reduce against it
   return id;
 }
 
 void ReplicatedBasis::add_close() {
-  GBD_CHECK_MSG(batch_open_ && !in_flight_ids_.empty(), "add_close on an empty batch");
-  batch_open_ = false;
-  acks_missing_ = self_.nprocs() - 1;
-  add_in_flight_ = in_flight_ids_.front();  // the whole round acks this token
-  ack_seen_.assign(static_cast<std::size_t>(self_.nprocs()), false);
-  if (ProcTracer* t = self_.tracer()) {
-    t->async_begin(Ev::kAddRound, self_.now(), add_in_flight_, in_flight_ids_.size());
-    if (acks_missing_ == 0) t->async_end(Ev::kAddRound, self_.now(), add_in_flight_);
-  }
-  stats_.invalidations_sent +=
-      in_flight_ids_.size() * static_cast<std::uint64_t>(self_.nprocs() - 1);
-  if (acks_missing_ == 0) {  // 1-proc degenerate add
-    completed_adds_.insert(completed_adds_.end(), in_flight_ids_.begin(), in_flight_ids_.end());
+  const std::vector<PolyId>& ids = round_.close();
+  stats_.invalidations_sent += ids.size() * static_cast<std::uint64_t>(self_.nprocs() - 1);
+  if (!wire_.batch_invalidations) {
+    for (PolyId id : ids) {
+      for (int p = 0; p < self_.nprocs(); ++p) {
+        if (p == self_.id()) continue;
+        Writer w;
+        w.u64(id);
+        replica_.at(id).hmono().write(w);
+        self_.send(p, kBaInvalidate, w.take());
+      }
+    }
     return;
   }
+  if (self_.nprocs() == 1) return;
   Writer w;
-  w.u32(static_cast<std::uint32_t>(in_flight_ids_.size()));
-  for (PolyId id : in_flight_ids_) {
+  w.u32(static_cast<std::uint32_t>(ids.size()));
+  for (PolyId id : ids) {
     w.u64(id);
     replica_.at(id).hmono().write(w);
   }
@@ -141,8 +104,6 @@ void ReplicatedBasis::add_close() {
 void ReplicatedBasis::on_invalidate(int src, Reader& r) {
   PolyId id = r.u64();
   Monomial head = Monomial::read(r);
-  Writer ack;
-  ack.u64(id);
   // Injected fault (chaos harness only): acknowledge the invalidation but
   // "lose" it before applying — the classic ack-before-apply lost update. The
   // coherence checker must catch this; see ChaosConfig::fault_drop_invalidate.
@@ -151,7 +112,7 @@ void ReplicatedBasis::on_invalidate(int src, Reader& r) {
     std::uint64_t draw = chaos_mix2(chaos->seed ^ 0x464449ULL,
                                     (static_cast<std::uint64_t>(self_.id()) << 40) ^ fault_draws_++);
     if (draw % 1000 < chaos->fault_drop_invalidate_permille) {
-      self_.send(src, kBaInvAck, ack.take());
+      AddRound::ack(self_, src, id);
       return;
     }
   }
@@ -161,13 +122,13 @@ void ReplicatedBasis::on_invalidate(int src, Reader& r) {
   if (replica_.find(id) == replica_.end()) {
     shadow_.emplace(id, std::move(head));
   }
-  self_.send(src, kBaInvAck, ack.take());
+  AddRound::ack(self_, src, id);
   if (on_invalidate_) on_invalidate_(id);
 }
 
 void ReplicatedBasis::on_inv_batch(int src, Reader& r) {
   // Same contract as on_invalidate, amortized: announce/shadow every id of
-  // the batch, then acknowledge once with the batch token (its first id).
+  // the round, then acknowledge once with the round token (its first id).
   // Announce and shadow insertion both deduplicate, so a duplicated or
   // reordered batch delivery is as harmless as a duplicated single one.
   std::uint32_t count = r.u32();
@@ -193,25 +154,7 @@ void ReplicatedBasis::on_inv_batch(int src, Reader& r) {
     }
     if (on_invalidate_) on_invalidate_(id);
   }
-  Writer ack;
-  ack.u64(token);
-  self_.send(src, kBaInvAck, ack.take());
-}
-
-void ReplicatedBasis::on_inv_ack(int src, Reader& r) {
-  PolyId id = r.u64();
-  // Acks are counted once per (round, processor): a duplicated delivery
-  // (chaos mode) or an ack for a previous, already-completed round is
-  // ignored rather than corrupting the in-flight count.
-  if (id != add_in_flight_ || acks_missing_ == 0) return;
-  auto s = static_cast<std::size_t>(src);
-  if (s >= ack_seen_.size() || ack_seen_[s]) return;
-  ack_seen_[s] = true;
-  acks_missing_ -= 1;
-  if (acks_missing_ == 0) {
-    if (ProcTracer* t = self_.tracer()) t->async_end(Ev::kAddRound, self_.now(), add_in_flight_);
-    completed_adds_.insert(completed_adds_.end(), in_flight_ids_.begin(), in_flight_ids_.end());
-  }
+  AddRound::ack(self_, src, token);
 }
 
 void ReplicatedBasis::begin_validate() {

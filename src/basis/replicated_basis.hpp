@@ -4,9 +4,11 @@
 // G'_i of 8-byte polynomial IDs that have been added elsewhere but whose
 // bodies have not been fetched yet. The §4.1.2 interface:
 //
-//   AddToSet   — split-phase: the adder stores the body locally and
-//                broadcasts INVALIDATE(id) to every other processor (star
-//                pattern); each victim adds the id to its shadow set and
+//   AddToSet   — split-phase, in rounds (add_round.hpp): the adder stores
+//                each member's body locally and broadcasts INVALIDATE to
+//                every other processor (star pattern) — one message per id,
+//                or one multi-id envelope per destination when batching;
+//                each victim adds the ids to its shadow set and
 //                acknowledges. add_done() turns true when all acks are in
 //                ("acknowledgements are necessary for correctness").
 //   Validate   — split-phase: request the body of every shadow id and absorb
@@ -35,30 +37,14 @@
 #include <map>
 #include <vector>
 
-#include "basis/basis_store.hpp"
+#include "basis/add_round.hpp"
 #include "machine/machine.hpp"
 #include "poly/divmask.hpp"
 
 namespace gbd {
 
-/// Handler-id block 120..127 (124 belongs to hybrid_basis.hpp; see
-/// taskq.hpp for the range convention). All message types — batched and
-/// unbatched — are idempotent: the ack carries the invalidated id (a
-/// batch's first id) and the adder counts at most one ack per (round,
-/// processor), so duplicated or reordered deliveries (chaos mode, or a
-/// retrying transport) never corrupt the add protocol.
-enum BasisHandlers : HandlerId {
-  kBaInvalidate = 120,  ///< new basis element announcement (id + head monomial)
-  kBaInvAck = 121,      ///< invalidation acknowledgement (carries the id)
-  kBaFetch = 122,       ///< body request, routed up the owner-rooted tree
-  kBaBody = 123,        ///< body reply, unwinds the pending-requester chain
-  // 124 is kBaHomeBody (hybrid_basis.hpp). Batched wire formats (PR 3) —
-  // idempotent like their unbatched counterparts, so chaos mode may
-  // duplicate or reorder them freely:
-  kBaInvBatch = 125,    ///< [count, (id, head)*count]; acked once per batch
-  kBaFetchBatch = 126,  ///< [count, id*count], grouped by tree parent
-  kBaBodyBatch = 127,   ///< [count, (id, body)*count], grouped by requester
-};
+/// Adds per round under BasisWireConfig::batch_invalidations.
+inline constexpr std::size_t kBatchRoundAdds = 8;
 
 /// One processor's endpoint of the replicated basis. Construct inside the
 /// worker on every processor before any polling.
@@ -67,12 +53,11 @@ class ReplicatedBasis final : public BasisStore {
   explicit ReplicatedBasis(Proc& self, BasisWireConfig wire = {});
 
   void preload(PolyId id, Polynomial poly) override;
-  PolyId begin_add(Polynomial poly) override;
-  bool add_done() const override { return acks_missing_ == 0; }
-  bool supports_batch_add() const override { return true; }
-  void add_open() override;
+  std::size_t adds_per_round() const override { return round_.max_adds(); }
+  void add_open() override { round_.open(); }
   PolyId add_push(Polynomial poly) override;
   void add_close() override;
+  bool add_done() const override { return round_.done(); }
   void begin_validate() override;
   bool valid() const override { return shadow_.empty(); }
   void prefetch(PolyId id) override {
@@ -117,11 +102,9 @@ class ReplicatedBasis final : public BasisStore {
   /// the engine can notice that its replica went stale mid-task.
   void set_invalidate_hook(std::function<void(PolyId)> hook) { on_invalidate_ = std::move(hook); }
 
-  /// Ids whose AddToSet completed *here* (all acks in). By the protocol,
-  /// completion proves every processor has processed the INVALIDATE, so a
-  /// coherence checker may assert each of these ids is known machine-wide —
-  /// the invariant the §4.1.2 acks exist to establish.
-  const std::vector<PolyId>& completed_adds() const { return completed_adds_; }
+  /// Ids whose AddToSet completed *here* (all acks in) — the invariant the
+  /// §4.1.2 acks exist to establish: each is known machine-wide.
+  const std::vector<PolyId>& completed_adds() const { return round_.completed(); }
 
  private:
   class ReducerView final : public ReducerSet {
@@ -149,7 +132,6 @@ class ReplicatedBasis final : public BasisStore {
 
   void on_invalidate(int src, Reader& r);
   void on_inv_batch(int src, Reader& r);
-  void on_inv_ack(int src, Reader& r);
   void on_fetch(int src, Reader& r);
   void on_fetch_batch(int src, Reader& r);
   void on_body(Reader& r);
@@ -172,14 +154,7 @@ class ReplicatedBasis final : public BasisStore {
   std::map<PolyId, std::vector<int>> pending_requesters_;  ///< fetches to answer later
   std::map<PolyId, bool> fetch_in_flight_;  ///< upward requests already issued
 
-  std::uint32_t next_local_seq_ = 0;
-  int acks_missing_ = 0;
-  PolyId add_in_flight_ = 0;         ///< ack token of the in-flight add round
-                                     ///< (the id, or a batch's first id)
-  std::vector<PolyId> in_flight_ids_;  ///< all ids of the in-flight round
-  std::vector<bool> ack_seen_;       ///< per-proc, for the in-flight round only
-  bool batch_open_ = false;          ///< between add_open and add_close
-  std::vector<PolyId> completed_adds_;
+  AddRound round_;
   bool validate_open_ = false;         ///< kValidate async round in progress
   std::uint64_t validate_rounds_ = 0;  ///< async id of the current/last round
   std::uint64_t fault_draws_ = 0;   ///< chaos fault-injection draw counter

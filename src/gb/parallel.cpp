@@ -55,6 +55,14 @@ struct PairTask {
     return w.take();
   }
 
+  /// An empty trace record for this pair.
+  TaskTrace trace() const {
+    TaskTrace t;
+    t.a = a;
+    t.b = b;
+    return t;
+  }
+
   static PairTask decode(const std::vector<std::uint8_t>& payload) {
     Reader r(payload);
     PairTask t;
@@ -114,7 +122,7 @@ class GlpWorker {
         basis_(*basis_owned_),
         lock_mgr_(self.id() == 0 ? std::make_optional<LockManager>(self) : std::nullopt),
         lock_(self, /*coordinator=*/0),
-        queue_(self, &sys.ctx, [this] { return app_idle(); }, taskq_config(cfg)) {
+        queue_(self, &sys.ctx, [this] { return !holds_work(); }, taskq_config(cfg)) {
     for (const auto& [id, poly] : inputs) basis_.preload(id, poly);
   }
 
@@ -125,15 +133,20 @@ class GlpWorker {
     return dynamic_cast<const ReplicatedBasis*>(basis_owned_.get());
   }
   const DistTaskQueue& taskq() const { return queue_; }
-  bool app_idle_now() const { return app_idle(); }
+
+  /// The negation of Idle? (§4.2), and the one test of "has work" used by
+  /// the termination detector, the termination-safety checks and the
+  /// finishing check. The detector trusts each processor's answer, so
+  /// everything that can still create tasks counts: in particular an add
+  /// round's members, whose pairs are created only after the last ack.
+  bool holds_work() const { return executing_ || work_items() != 0; }
 
   void run() {
     if (ProcTelemetry* te = self_.telemetry()) {
       // Live-telemetry sampler: called from this processor's own tick sites
       // (inside its poll/wait), so plain reads of worker state are safe.
       te->set_sampler([this](TeleSample& s) {
-        tele_at(s, TeleKey::kQueueDepth) = queue_.local_size() + suspended_.size() +
-                                           stalled_.size() + pending_.size();
+        tele_at(s, TeleKey::kQueueDepth) = work_items();
         tele_at(s, TeleKey::kDegree) = cur_degree_;
         tele_at(s, TeleKey::kBasisSize) = basis_.known_heads().size();
         tele_at(s, TeleKey::kSpairsRetired) = out_->stats.spolys_computed;
@@ -191,16 +204,18 @@ class GlpWorker {
           break;
       }
       if (finishing_) {
-        if (!(pending_.empty() && suspended_.empty() && stalled_.empty())) {
+        if (holds_work()) {
           // Under a monitor this is recorded as a violation (the fuzz driver
           // wants the replay string, not an abort); otherwise it is fatal.
           if (monitor_ != nullptr) {
             monitor_->note("termination-unfinished-work",
                            "proc " + std::to_string(self_.id()) +
-                               " terminated with unfinished local work (suspended=" +
+                               " terminated with unfinished local work (local=" +
+                               std::to_string(queue_.local_size()) + " suspended=" +
                                std::to_string(suspended_.size()) + " stalled=" +
                                std::to_string(stalled_.size()) + " pending=" +
-                               std::to_string(pending_.size()) + ")");
+                               std::to_string(pending_.size()) + " round=" +
+                               std::to_string(round_.size()) + ")");
             break;
           }
           GBD_CHECK_MSG(false, "terminated with unfinished local work — protocol bug");
@@ -235,10 +250,10 @@ class GlpWorker {
       // Termination-safety hook: when the announcement reaches this
       // processor, the double-wave (or white token circuit) has already
       // proved global idleness and enq == deq, both stable — so finding any
-      // local task, or any suspended/stalled/pending work, here means the
-      // coordinator announced while work was still in flight.
+      // local task, or any suspended/stalled/pending/round work, here means
+      // the coordinator announced while work was still in flight.
       tq.on_announce = [this] {
-        if (queue_.local_size() != 0 || !app_idle()) {
+        if (holds_work()) {
           monitor_->note("premature-announce",
                          "proc " + std::to_string(self_.id()) +
                              " learned of termination while still holding work (local=" +
@@ -247,6 +262,14 @@ class GlpWorker {
       };
     }
     return tq;
+  }
+
+  /// Tasks and reducts this processor holds: queued, suspended, stalled,
+  /// waiting for the lock, or admitted to an add round whose pairs do not
+  /// exist yet.
+  std::size_t work_items() const {
+    return queue_.local_size() + suspended_.size() + stalled_.size() + pending_.size() +
+           round_.size();
   }
 
   bool is_reserved_coordinator() const {
@@ -326,10 +349,6 @@ class GlpWorker {
     collect_kernel_delta(reg, p, kernel_base_);
   }
 
-  bool app_idle() const {
-    return suspended_.empty() && stalled_.empty() && pending_.empty() && !executing_;
-  }
-
   int first_worker() const { return cfg_.reserve_coordinator ? 1 : 0; }
   int nworkers() const { return self_.nprocs() - first_worker(); }
 
@@ -382,41 +401,34 @@ class GlpWorker {
     return false;
   }
 
-  void process_task(PairTask task) {
-    executing_ = true;
+  /// Screen a dequeued pair: prune it by a criterion, put it on hold while
+  /// its bodies are fetched (§5 "Local Threads": other pairs proceed
+  /// meanwhile), or form its s-polynomial. Empty unless formed; a held
+  /// pair moves into suspended_.
+  std::optional<Polynomial> start_pair(PairTask& task) {
     note_task_degree(task);
-    TraceSpan span(self_, Ev::kTask, task.a, task.b);
     if (cfg_.gb.coprime_criterion && Monomial::coprime(task.ha, task.hb)) {
       out_->stats.pairs_pruned_coprime += 1;
       done_.mark(task.a, task.b);
-      executing_ = false;
-      return;
+      return std::nullopt;
     }
     if (chain_prunable(task)) {
       // Not marked done: only self-grounded treatments are citable (see
       // sequential.cpp on the justification-cycle hazard).
       out_->stats.pairs_pruned_chain += 1;
-      executing_ = false;
-      return;
+      return std::nullopt;
     }
     const Polynomial* pa = basis_.find(task.a);
     const Polynomial* pb = basis_.find(task.b);
     if (pa == nullptr || pb == nullptr) {
-      // §5 "Local Threads": put the pair on hold and fetch what is missing;
-      // other pairs proceed meanwhile.
       if (pa == nullptr) basis_.prefetch(task.a);
       if (pb == nullptr) basis_.prefetch(task.b);
       if (ProcTracer* t = self_.tracer()) {
         t->async_begin(Ev::kHold, self_.now(), hold_id(task.a, task.b), task.a);
       }
       suspended_.push_back(std::move(task));
-      executing_ = false;
-      return;
+      return std::nullopt;
     }
-
-    TaskTrace trace;
-    trace.a = task.a;
-    trace.b = task.b;
     Polynomial h;
     {
       // Span strictly encloses the CostScope (see obs/span.hpp): its end
@@ -427,7 +439,17 @@ class GlpWorker {
       out_->stats.work_units += cost.elapsed();
     }
     out_->stats.spolys_computed += 1;
-    continue_reduction(std::move(task), std::move(h), std::move(trace));
+    return h;
+  }
+
+  void process_task(PairTask task) {
+    executing_ = true;
+    TraceSpan span(self_, Ev::kTask, task.a, task.b);
+    if (std::optional<Polynomial> h = start_pair(task)) {
+      TaskTrace trace = task.trace();
+      continue_reduction(std::move(task), std::move(*h), std::move(trace));
+    }
+    executing_ = false;
   }
 
   /// Batched (F4-style) variant of process_task, used when
@@ -435,12 +457,11 @@ class GlpWorker {
   /// to matrix_batch_max further *locally available* tasks (no degree filter:
   /// unlike the sequential engine there is no global queue to group by
   /// degree, and whatever is local IS this processor's share of the front),
-  /// screens each exactly as process_task would — criteria, then residency
-  /// suspension — and reduces the survivors' s-polynomials as one Macaulay
-  /// matrix against the replica. Each surviving row enters the augment
-  /// pipeline as its own Pending attributed to its originating pair, so
-  /// done-marking, freshening and pair creation reuse the per-pair machinery
-  /// unchanged. The network is NOT served between symbolic preprocessing and
+  /// screens each with start_pair, and reduces the survivors' s-polynomials
+  /// as one Macaulay matrix against the replica. Each surviving row enters
+  /// the augment pipeline as its own Pending attributed to its originating
+  /// pair, so done-marking, freshening and pair creation reuse the per-pair
+  /// machinery unchanged. The network is NOT served between symbolic preprocessing and
   /// the elimination: the frame holds pointers into replica storage, which
   /// stays stable only while we do not poll.
   void process_task_batch(std::vector<std::uint8_t>* payload) {
@@ -454,34 +475,14 @@ class GlpWorker {
       TraceSpan span(self_, Ev::kTask);
       for (;;) {
         PairTask task = PairTask::decode(*payload);
-        note_task_degree(task);
-        if (cfg_.gb.coprime_criterion && Monomial::coprime(task.ha, task.hb)) {
-          out_->stats.pairs_pruned_coprime += 1;
-          done_.mark(task.a, task.b);
-        } else if (chain_prunable(task)) {
-          // Not marked done: only self-grounded treatments are citable (see
-          // sequential.cpp on the justification-cycle hazard).
-          out_->stats.pairs_pruned_chain += 1;
-        } else {
-          const Polynomial* pa = basis_.find(task.a);
-          const Polynomial* pb = basis_.find(task.b);
-          if (pa == nullptr || pb == nullptr) {
-            if (pa == nullptr) basis_.prefetch(task.a);
-            if (pb == nullptr) basis_.prefetch(task.b);
-            if (ProcTracer* t = self_.tracer()) {
-              t->async_begin(Ev::kHold, self_.now(), hold_id(task.a, task.b), task.a);
-            }
-            suspended_.push_back(std::move(task));
+        if (std::optional<Polynomial> h = start_pair(task)) {
+          if (h->is_zero()) {
+            // An empty matrix row would be neither zeroed nor kept by the
+            // elimination (one element can be a monomial multiple of
+            // another): retire it here, as continue_reduction would.
+            retire_zero(task.a, task.b, task.trace());
           } else {
-            Polynomial h;
-            {
-              TraceSpan sp(self_, Ev::kSpoly, task.a, task.b);
-              CostScope cost;
-              h = spoly(sys_.ctx, *pa, *pb, cfg_.gb.coeff);
-              out_->stats.work_units += cost.elapsed();
-            }
-            out_->stats.spolys_computed += 1;
-            ready.push_back(Ready{std::move(task), std::move(h)});
+            ready.push_back(Ready{std::move(task), std::move(*h)});
           }
         }
         if (ready.size() >= cfg_.gb.matrix_batch_max) break;
@@ -550,17 +551,13 @@ class GlpWorker {
     std::size_t next = 0;
     for (std::size_t s = 0; s < ready.size(); ++s) {
       PairTask& task = ready[s].task;
-      TaskTrace trace;
-      trace.a = task.a;
-      trace.b = task.b;
+      TaskTrace trace = task.trace();
       if (eo.src_zeroed[s]) {
         // Zero in-matrix: the row's standard representation uses replica
         // elements plus (possibly) other batch rows, each of which itself
         // either joins the basis or dies against real basis elements — so
         // the treatment is grounded and citable, as in the sequential batch.
-        out_->stats.reductions_to_zero += 1;
-        done_.mark(task.a, task.b);
-        if (cfg_.record_trace) out_->trace.tasks.push_back(std::move(trace));
+        retire_zero(task.a, task.b, std::move(trace));
         continue;
       }
       GBD_CHECK(next < eo.rows.size() && eo.rows[next].src == s);
@@ -593,9 +590,7 @@ class GlpWorker {
     reduce_by_replica(&h, &trace);
 
     if (h.is_zero()) {
-      out_->stats.reductions_to_zero += 1;
-      done_.mark(task.a, task.b);
-      if (cfg_.record_trace) out_->trace.tasks.push_back(std::move(trace));
+      retire_zero(task.a, task.b, std::move(trace));
       executing_ = false;
       return;
     }
@@ -686,29 +681,17 @@ class GlpWorker {
       aug_state_ = AugState::kValidating;
       basis_.begin_validate();
     }
-    if (aug_state_ == AugState::kValidating && basis_.valid()) {
-      if (use_batched_adds()) {
-        finish_augment_under_lock_batched();
-      } else {
-        finish_augment_under_lock();
-      }
-    }
-    if (aug_state_ == AugState::kAdding && basis_.add_done()) {
-      if (!batch_adding_.empty()) {
-        complete_add_batch();
-      } else {
-        complete_add();
-      }
-    }
+    if (aug_state_ == AugState::kValidating && basis_.valid()) finish_augment_under_lock();
+    if (aug_state_ == AugState::kAdding && basis_.add_done()) complete_add();
   }
 
-  bool use_batched_adds() const {
-    return cfg_.wire.batch_invalidations && basis_.supports_batch_add();
+  /// A reduct that reached zero: the pair is treated.
+  void retire_zero(PolyId a, PolyId b, TaskTrace trace) {
+    out_->stats.reductions_to_zero += 1;
+    done_.mark(a, b);
+    if (cfg_.record_trace) out_->trace.tasks.push_back(std::move(trace));
   }
 
-  /// With the lock held and a valid replica: re-reduce the pending reduct
-  /// against the full basis (the NORMAL re-check of axiom AUGMENT) and
-  /// either discard it or start the AddToSet broadcast.
   /// Re-reduce queued reducts against the current replica; retire any that
   /// reach zero. Runs outside the lock.
   void freshen_pending() {
@@ -717,9 +700,7 @@ class GlpWorker {
       Pending& p = pending_[i];
       reduce_by_replica(&p.poly, &p.trace);
       if (p.poly.is_zero()) {
-        out_->stats.reductions_to_zero += 1;
-        done_.mark(p.a, p.b);
-        if (cfg_.record_trace) out_->trace.tasks.push_back(std::move(p.trace));
+        retire_zero(p.a, p.b, std::move(p.trace));
         pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
       } else {
         ++i;
@@ -727,164 +708,75 @@ class GlpWorker {
     }
   }
 
+  /// With the lock held and a valid replica: re-reduce pending reducts
+  /// against the full basis (the NORMAL re-check of axiom AUGMENT) and
+  /// admit the survivors into one add round of at most adds_per_round()
+  /// members. add_push stores each member at once, so the next one
+  /// re-reduces against it: a round adds exactly what that many consecutive
+  /// one-add holds would have, minus the lock hand-offs. With rounds of one
+  /// the hold examines exactly one reduct and gives the lock back if it
+  /// died.
   void finish_augment_under_lock() {
     TraceSpan span(self_, Ev::kAugment);
-    if (pending_.empty()) {
-      // Everything we queued for died while we waited; give the lock back.
-      release_and_continue();
-      return;
-    }
-    Pending& p = pending_.front();
-    reduce_by_replica(&p.poly, &p.trace);
-    if (!p.poly.is_zero()) {
-      // The NORMAL re-check must see the body of any head that still
-      // divides; under the hybrid store it may not be resident. Fetch it
-      // and retry from pump_augment when it lands (progress is saved in
-      // p.poly; the lock stays held — the price of bounded replication).
-      if (PolyId blocked = basis_.pending_reducer(p.poly.hmono()); blocked != 0) {
-        basis_.prefetch(blocked);
-        return;
-      }
-    }
-    if (p.poly.is_zero()) {
-      out_->stats.reductions_to_zero += 1;
-      done_.mark(p.a, p.b);
-      if (cfg_.record_trace) out_->trace.tasks.push_back(std::move(p.trace));
-      pending_.pop_front();
-      release_and_continue();
-      return;
-    }
-    adding_id_ = basis_.begin_add(p.poly);
-    aug_state_ = AugState::kAdding;
-  }
-
-  /// All invalidation acks arrived: record the new element, create its pairs
-  /// (replica is complete, so this is {(s, r) : s ∈ G}), release the lock.
-  void complete_add() {
-    TraceSpan span(self_, Ev::kAugment, adding_id_);
-    Pending p = std::move(pending_.front());
-    pending_.pop_front();
-    const Polynomial* body = basis_.find(adding_id_);
-    GBD_CHECK(body != nullptr);
-    Monomial new_head = body->hmono();
-    // The add is globally visible (all acks in): the critical section can
-    // end here; pair creation only reads the (stable) local replica.
-    release_and_continue();
-    // The replica is complete and stable under the lock, so the
-    // Gebauer–Möller update applies exactly as in the sequential engine.
-    std::vector<PolyId> others;
-    std::vector<Monomial> heads;
-    for (const auto& [k, head] : basis_.known_heads()) {
-      if (k == adding_id_) continue;
-      others.push_back(k);
-      heads.push_back(head);
-    }
-    if (cfg_.gb.gm_update) {
-      out_->stats.pairs_created += others.size();
-      GmPruneCounts gm;
-      std::vector<std::size_t> kept = gm_new_pairs(sys_.ctx, heads, new_head, &gm);
-      out_->stats.pairs_pruned_coprime += gm.coprime;
-      out_->stats.pairs_pruned_chain += gm.m_rule + gm.f_rule;
-      std::vector<bool> keep(others.size(), false);
-      for (std::size_t i : kept) keep[i] = true;
-      for (std::size_t i = 0; i < others.size(); ++i) {
-        if (keep[i]) {
-          enqueue_pair(others[i], adding_id_, heads[i], new_head);
-        } else if (Monomial::coprime(heads[i], new_head)) {
-          done_.mark(others[i], adding_id_);  // grounded by criterion 1 only
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < others.size(); ++i) {
-        create_pair(others[i], adding_id_, heads[i], new_head);
-      }
-    }
-    out_->stats.basis_added += 1;
-    out_->added.emplace_back(adding_id_, *body);
-    done_.mark(p.a, p.b);
-    p.trace.added = true;
-    p.trace.result = adding_id_;
-    if (cfg_.record_trace) out_->trace.tasks.push_back(std::move(p.trace));
-  }
-
-  /// Batched AUGMENT (wire.batch_invalidations): admit up to max_batch_adds
-  /// surviving reducts under this single lock hold. Each is re-reduced
-  /// against the complete replica *including the batch members pushed
-  /// before it* (add_push stores immediately), so the admitted set is
-  /// exactly what the unbatched path would have added over that many
-  /// consecutive lock rounds — minus the per-add lock hand-offs and the
-  /// per-id invalidation envelopes.
-  void finish_augment_under_lock_batched() {
-    TraceSpan span(self_, Ev::kAugment);
-    bool open = false;
-    while (!pending_.empty() && batch_adding_.size() < cfg_.max_batch_adds) {
+    const std::size_t max_adds = basis_.adds_per_round();
+    bool blocked = false;
+    while (!pending_.empty() && round_.size() < max_adds) {
       Pending& p = pending_.front();
       reduce_by_replica(&p.poly, &p.trace);
-      if (!p.poly.is_zero()) {
-        if (PolyId blocked = basis_.pending_reducer(p.poly.hmono()); blocked != 0) {
-          // Unreachable on the replicated store (no invalidation can arrive
-          // while we hold the lock), but kept for parity with the unbatched
-          // path: fetch and resume from pump_augment when the body lands.
-          basis_.prefetch(blocked);
-          break;
-        }
-      }
       if (p.poly.is_zero()) {
-        out_->stats.reductions_to_zero += 1;
-        done_.mark(p.a, p.b);
-        if (cfg_.record_trace) out_->trace.tasks.push_back(std::move(p.trace));
+        retire_zero(p.a, p.b, std::move(p.trace));
         pending_.pop_front();
+        if (max_adds == 1) break;
         continue;
       }
-      if (!open) {
-        basis_.add_open();
-        open = true;
+      // The NORMAL re-check must see the body of any head that still
+      // divides; under the hybrid store it may not be resident. Fetch it and
+      // retry from pump_augment when it lands (progress is saved in p.poly;
+      // the lock stays held — the price of bounded replication).
+      if (PolyId r = basis_.pending_reducer(p.poly.hmono()); r != 0) {
+        basis_.prefetch(r);
+        blocked = true;
+        break;
       }
-      BatchAdd add;
-      add.a = p.a;
-      add.b = p.b;
-      add.trace = std::move(p.trace);
-      add.id = basis_.add_push(std::move(p.poly));
-      batch_adding_.push_back(std::move(add));
+      if (round_.empty()) basis_.add_open();
+      PolyId id = basis_.add_push(std::move(p.poly));
+      round_.push_back(RoundMember{id, p.a, p.b, std::move(p.trace)});
       pending_.pop_front();
     }
-    if (!open) {
-      // Everything died (release) or the front reduct is blocked on a fetch
-      // (keep the lock; pump_augment retries when the body arrives).
-      if (pending_.empty()) release_and_continue();
+    if (round_.empty()) {
+      // Nothing admitted: give the lock back, unless the front reduct waits
+      // for a body.
+      if (!blocked) release_and_continue();
       return;
     }
     basis_.add_close();
     aug_state_ = AugState::kAdding;
   }
 
-  /// All acks for the batch round arrived: the adds are globally visible.
-  /// Release the lock, then create each member's pairs exactly as the
-  /// unbatched path would have — member k pairs against everything known
-  /// before it, including earlier batch members but not later ones.
-  void complete_add_batch() {
-    TraceSpan span(self_, Ev::kAugment, batch_adding_.size());
-    std::vector<BatchAdd> batch = std::move(batch_adding_);
-    batch_adding_.clear();
+  /// All acks for the round arrived: its members are globally visible, so
+  /// the lock is released, and each member gets its pairs. The replica is
+  /// complete and stable, so the Gebauer–Möller update applies exactly as
+  /// in the sequential engine: member k pairs against everything known
+  /// before it, earlier members included and later ones not. Members stay
+  /// in round_ — and so count as work — until their pairs exist.
+  void complete_add() {
+    TraceSpan span(self_, Ev::kAugment, round_.size());
     release_and_continue();
-    // Batch ids are this processor's own sequence numbers: ascending.
-    std::vector<PolyId> batch_ids;
-    for (const BatchAdd& add : batch) batch_ids.push_back(add.id);
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      BatchAdd& add = batch[k];
-      const Polynomial* body = basis_.find(add.id);
+    for (std::size_t k = 0; k < round_.size(); ++k) {
+      RoundMember& m = round_[k];
+      const Polynomial* body = basis_.find(m.id);
       GBD_CHECK(body != nullptr);
       Monomial new_head = body->hmono();
+      auto admitted_from_k = [&](PolyId id) {
+        for (std::size_t j = k; j < round_.size(); ++j) {
+          if (round_[j].id == id) return true;
+        }
+        return false;
+      };
       std::vector<PolyId> others;
       std::vector<Monomial> heads;
       for (const auto& [kid, head] : basis_.known_heads()) {
-        if (kid == add.id) continue;
-        // Skip later batch members: they were not yet in G when this
-        // element was (logically) added.
-        if (kid > add.id &&
-            std::binary_search(batch_ids.begin(), batch_ids.end(), kid)) {
-          continue;
-        }
+        if (admitted_from_k(kid)) continue;
         others.push_back(kid);
         heads.push_back(head);
       }
@@ -898,23 +790,24 @@ class GlpWorker {
         for (std::size_t i : kept) keep[i] = true;
         for (std::size_t i = 0; i < others.size(); ++i) {
           if (keep[i]) {
-            enqueue_pair(others[i], add.id, heads[i], new_head);
+            enqueue_pair(others[i], m.id, heads[i], new_head);
           } else if (Monomial::coprime(heads[i], new_head)) {
-            done_.mark(others[i], add.id);  // grounded by criterion 1 only
+            done_.mark(others[i], m.id);  // grounded by criterion 1 only
           }
         }
       } else {
         for (std::size_t i = 0; i < others.size(); ++i) {
-          create_pair(others[i], add.id, heads[i], new_head);
+          create_pair(others[i], m.id, heads[i], new_head);
         }
       }
       out_->stats.basis_added += 1;
-      out_->added.emplace_back(add.id, *body);
-      done_.mark(add.a, add.b);
-      add.trace.added = true;
-      add.trace.result = add.id;
-      if (cfg_.record_trace) out_->trace.tasks.push_back(std::move(add.trace));
+      out_->added.emplace_back(m.id, *body);
+      done_.mark(m.a, m.b);
+      m.trace.added = true;
+      m.trace.result = m.id;
+      if (cfg_.record_trace) out_->trace.tasks.push_back(std::move(m.trace));
     }
+    round_.clear();
   }
 
   void release_and_continue() {
@@ -976,9 +869,9 @@ class GlpWorker {
     PolyId a, b;
   };
 
-  /// One member of an in-flight batched add round (its body already lives in
-  /// the store; the id is assigned by add_push).
-  struct BatchAdd {
+  /// One member of the in-flight add round (its body already lives in the
+  /// store under `id`), from pair (a, b).
+  struct RoundMember {
     PolyId id;
     PolyId a, b;
     TaskTrace trace;
@@ -1020,9 +913,8 @@ class GlpWorker {
   std::deque<PairTask> suspended_;
   std::deque<Stalled> stalled_;
   std::deque<Pending> pending_;
-  std::vector<BatchAdd> batch_adding_;
+  std::vector<RoundMember> round_;
   AugState aug_state_ = AugState::kIdle;
-  PolyId adding_id_ = 0;
   /// Kernel thread-local counters at construction (on the hosting thread),
   /// windowing this run's deltas for the metrics registry.
   KernelBaseline kernel_base_ = kernel_baseline();
@@ -1093,7 +985,7 @@ void register_invariants(InvariantMonitor& monitor,
   });
   // Termination safety: announcement is stable and final — once any endpoint
   // has heard it, no processor may hold a task (queued, suspended, stalled,
-  // pending or executing) ever again.
+  // pending, in an add round or executing) ever again.
   monitor.add_check("termination-safety", [&workers]() -> std::string {
     bool announced = false;
     for (const auto& wp : workers) {
@@ -1102,7 +994,7 @@ void register_invariants(InvariantMonitor& monitor,
     }
     if (!announced) return "";
     for (std::size_t p = 0; p < workers.size(); ++p) {
-      if (workers[p]->taskq().local_size() != 0 || !workers[p]->app_idle_now()) {
+      if (workers[p]->holds_work()) {
         return "termination announced but proc " + std::to_string(p) + " still holds work";
       }
     }

@@ -14,8 +14,13 @@
 //    central invalidation lock (suspending the augment if not granted
 //    immediately), then VALIDATE the replica (split-phase bulk fetch),
 //    re-reduce against the now-complete basis, and either discard (zero) or
-//    AddToSet (split-phase invalidation broadcast with acks), create the new
-//    pairs, and release;
+//    admit it to an AddToSet round (split-phase invalidation broadcast with
+//    acks), release, and create the new pairs. One code path serves every
+//    store: the store says how many reducts a round admits (one per hold in
+//    the per-id protocol, several under wire batching);
+//  - Idle? (§4.2) counts every reduct the processor still holds — pending
+//    the lock or admitted to a round whose pairs are not created yet — so
+//    the termination detector never announces over an add in flight;
 //  - processor `coordinator` additionally hosts the lock manager and the
 //    termination-detection coordinator (§6); optionally it is reserved and
 //    takes no compute tasks, as on the paper's CM-5.
@@ -60,14 +65,12 @@ struct ParallelConfig {
   /// Reserve the coordinator processor for lock/termination duty only
   /// (the paper's CM-5 setup). Requires nprocs >= 2.
   bool reserve_coordinator = false;
-  /// Wire-level protocol batching (PR 3): coalesce invalidation broadcasts
-  /// and validation fetch/body traffic into multi-id envelopes, and admit
-  /// several reducts per lock hold. Off by default — the one-message-per-id
-  /// path is the differential oracle. Replicated store only; the hybrid
-  /// store ignores it.
+  /// Wire-level protocol batching, handed to the replicated store: admit up
+  /// to kBatchRoundAdds reducts per lock hold and announce them in one
+  /// envelope per destination, and coalesce validation fetch/body traffic
+  /// into multi-id envelopes. Off by default (one message per id, one add
+  /// per hold). The hybrid store ignores it.
   BasisWireConfig wire;
-  /// Max reducts admitted per lock hold when wire.batch_invalidations is on.
-  std::size_t max_batch_adds = 8;
   /// Task-queue tuning (coordinator field is overridden to 0).
   TaskQueueConfig taskq;
   /// Record per-task traces for the Fig. 8(b) replay baseline.

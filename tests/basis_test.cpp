@@ -10,6 +10,7 @@
 #include "io/parse.hpp"
 #include "machine/sim_machine.hpp"
 #include "machine/thread_machine.hpp"
+#include "basis_helpers.hpp"
 
 namespace gbd {
 namespace {
@@ -58,7 +59,7 @@ TEST_P(BasisTest, AddInvalidatesOthersAndAcks) {
   m->run([&](Proc& self) {
     ReplicatedBasis basis(self);
     if (self.id() == 2) {
-      PolyId id = basis.begin_add(g);
+      PolyId id = add_one(basis, g);
       EXPECT_EQ(poly_id_owner(id), 2);
       while (!basis.add_done()) {
         ASSERT_TRUE(self.wait());
@@ -85,7 +86,7 @@ TEST_P(BasisTest, ValidateFetchesBodies) {
   m->run([&](Proc& self) {
     ReplicatedBasis basis(self);
     if (self.id() == 0) {
-      basis.begin_add(g);
+      add_one(basis, g);
       while (!basis.add_done()) {
         ASSERT_TRUE(self.wait());
       }
@@ -120,7 +121,7 @@ TEST_P(BasisTest, ReducerSetSeesLocalReplicaOnly) {
     ReplicatedBasis basis(self);
     basis.preload(make_poly_id(0, 100), f);
     if (self.id() == 1) {
-      basis.begin_add(g);
+      add_one(basis, g);
       while (!basis.add_done()) {
         ASSERT_TRUE(self.wait());
       }
@@ -154,7 +155,7 @@ TEST_P(BasisTest, InvalidateHookFires) {
       ++hook_calls;
     });
     if (self.id() == 0) {
-      basis.begin_add(g);
+      add_one(basis, g);
       while (!basis.add_done()) {
         ASSERT_TRUE(self.wait());
       }
@@ -179,7 +180,7 @@ TEST_P(BasisTest, ManyAddsFromManyOwners) {
         c, "x^" + std::to_string(self.id() + 1) + " - " + std::to_string(self.id() + 2));
     for (int turn = 0; turn < kP; ++turn) {
       if (turn == self.id()) {
-        basis.begin_add(mine);
+        add_one(basis, mine);
         while (!basis.add_done()) {
           ASSERT_TRUE(self.wait());
         }
@@ -222,7 +223,7 @@ TEST(ChaosBasisTest, DuplicatedInvalidationBroadcastIsIdempotent) {
   SimStats stats = m.run_sim([&](Proc& self) {
     ReplicatedBasis basis(self);
     if (self.id() == 0) {
-      PolyId id = basis.begin_add(g);
+      PolyId id = add_one(basis, g);
       while (!basis.add_done()) {
         ASSERT_TRUE(self.wait());
       }
@@ -260,7 +261,7 @@ TEST(ChaosBasisTest, DuplicateAcksCountedOncePerProcessor) {
   m.run_sim([&](Proc& self) {
     ReplicatedBasis basis(self);
     if (self.id() == 0) {
-      basis.begin_add(g);
+      add_one(basis, g);
       while (!basis.add_done()) {
         ASSERT_TRUE(self.wait());
       }
@@ -293,7 +294,7 @@ TEST(ChaosBasisTest, StaleOrForgedAckIsIgnored) {
     } else {
       self.poll();
       EXPECT_TRUE(basis.add_done());  // forged ack must not corrupt the idle state
-      basis.begin_add(g);
+      add_one(basis, g);
       while (!basis.add_done()) {
         ASSERT_TRUE(self.wait());
       }
@@ -323,7 +324,7 @@ TEST(ChaosBasisTest, ReorderedBroadcastsConvergeToIdenticalReplicas) {
                                   parse_poly_or_die(c, "y^2 - x*z")};
     if (self.id() == 0) {
       for (const Polynomial& g : gs) {
-        basis.begin_add(g);
+        add_one(basis, g);
         while (!basis.add_done()) {
           ASSERT_TRUE(self.wait());
         }

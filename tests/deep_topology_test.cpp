@@ -10,6 +10,7 @@
 #include "machine/sim_machine.hpp"
 #include "poly/reduce.hpp"
 #include "problems/problems.hpp"
+#include "basis_helpers.hpp"
 
 namespace gbd {
 namespace {
@@ -26,7 +27,7 @@ TEST(DeepTopologyTest, TreeFetchForwardsAcrossMultipleHops) {
   m.run([&](Proc& self) {
     ReplicatedBasis basis(self);
     if (self.id() == 0) {
-      basis.begin_add(g);
+      add_one(basis, g);
       while (!basis.add_done()) {
         ASSERT_TRUE(self.wait());
       }

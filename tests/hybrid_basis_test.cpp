@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "gb/parallel.hpp"
 #include "gb/sequential.hpp"
 #include "gb/verify.hpp"
 #include "machine/sim_machine.hpp"
 #include "poly/reduce.hpp"
 #include "problems/problems.hpp"
+#include "basis_helpers.hpp"
 
 namespace gbd {
 namespace {
@@ -53,7 +56,7 @@ TEST(HybridBasisTest, AddPushesBodyToHomesOnly) {
     cfg.cache_capacity = 8;
     HybridBasis basis(self, cfg);
     if (self.id() == 1) {
-      basis.begin_add(g);
+      add_one(basis, g);
       while (!basis.add_done()) {
         ASSERT_TRUE(self.wait());
       }
@@ -76,6 +79,37 @@ TEST(HybridBasisTest, AddPushesBodyToHomesOnly) {
   });
 }
 
+TEST(HybridBasisTest, DuplicateAndStaleAcksAreIgnored) {
+  // Every ack is delivered twice. Acks carry their round's token and count
+  // once per (round, processor), so each add completes exactly when all
+  // three victims have answered, and a duplicate arriving after completion
+  // (or during the next round) changes nothing.
+  ChaosConfig chaos;
+  chaos.seed = 5;
+  chaos.dup_permille = 1000;
+  chaos.dup_safe = {kBaInvAck};
+  SimMachine m(4, CostModel{}, chaos);
+  PolyContext ctx{{"x", "y"}, OrderKind::kGrLex};
+  std::atomic<int> added{0};
+  SimStats stats = m.run_sim([&](Proc& self) {
+    HybridBasis basis(self, HybridConfig{});
+    if (self.id() == 0) {
+      for (int k = 0; k < 3; ++k) {
+        add_one(basis, parse_poly_or_die(ctx, "x^" + std::to_string(k + 2) + " - y"));
+        while (!basis.add_done()) {
+          ASSERT_TRUE(self.wait());
+        }
+        ++added;
+      }
+    }
+    while (self.wait()) {
+    }
+    EXPECT_EQ(basis.known_heads().size(), 3u) << "proc " << self.id();
+  });
+  EXPECT_EQ(added.load(), 3);
+  EXPECT_GT(stats.duplicated_messages, 0u);
+}
+
 TEST(HybridBasisTest, FetchMaterializesAndEvictionRecycles) {
   const int kP = 3;
   SimMachine m(kP);
@@ -88,7 +122,7 @@ TEST(HybridBasisTest, FetchMaterializesAndEvictionRecycles) {
     // Proc 0 adds six polynomials; proc 2 fetches them all and must evict.
     if (self.id() == 0) {
       for (int k = 0; k < 6; ++k) {
-        basis.begin_add(parse_poly_or_die(ctx, "x^" + std::to_string(k + 2) + " - y"));
+        add_one(basis, parse_poly_or_die(ctx, "x^" + std::to_string(k + 2) + " - y"));
         while (!basis.add_done()) {
           ASSERT_TRUE(self.wait());
         }

@@ -27,6 +27,7 @@
 #include "problems/problems.hpp"
 #include "support/cost.hpp"
 #include "support/rng.hpp"
+#include "basis_helpers.hpp"
 #include "oracles.hpp"
 
 namespace gbd {
@@ -475,7 +476,7 @@ TEST_P(DivmaskFuzzTest, ReplicatedBasisUnderChaosMatchesLinearScan) {
     for (int round = 0; round < 2; ++round) {
       for (int owner = 0; owner < kP; ++owner) {
         if (owner == self.id()) {
-          basis.begin_add(sys.polys[static_cast<std::size_t>(2 * owner + round)]);
+          add_one(basis, sys.polys[static_cast<std::size_t>(2 * owner + round)]);
           while (!basis.add_done()) {
             ASSERT_TRUE(self.wait());
           }

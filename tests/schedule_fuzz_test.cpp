@@ -1,5 +1,6 @@
 // Schedule fuzzing for the GL-P engine: sweep seeds × processor counts ×
-// chaos intensities over a small problem, assert (a) the chaotic parallel
+// chaos intensities × basis protocols (per-id or batched adds; replicated
+// or hybrid store) over a small problem, assert (a) the chaotic parallel
 // run still produces the sequential reduced basis and (b) every protocol
 // invariant held on every sweep. A failing configuration is shrunk to a
 // minimal replay string before being reported, so a red run in CI is
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -44,9 +46,24 @@ const std::vector<Polynomial>& reference() {
   return ref;
 }
 
-ParallelResult run_chaos(int nprocs, const ChaosConfig& chaos) {
+/// The basis protocol × store a run uses: per-id or batched adds (the wire
+/// format and round size of the replicated store), over the replicated or
+/// the hybrid store (which always speaks per-id).
+struct Variant {
+  bool batched = false;
+  bool hybrid = false;
+  std::string name() const {
+    return std::string("protocol=") + (batched ? "batched" : "per-id") +
+           ";store=" + (hybrid ? "hybrid" : "replicated");
+  }
+};
+
+ParallelResult run_chaos(const Variant& variant, int nprocs, const ChaosConfig& chaos) {
   ParallelConfig cfg;
   cfg.nprocs = nprocs;
+  cfg.wire.batch_invalidations = variant.batched;
+  cfg.wire.batch_fetches = variant.batched;
+  if (variant.hybrid) cfg.basis_mode = BasisMode::kHybrid;
   cfg.seed = chaos.seed + 1;  // also perturb initial pair placement
   cfg.chaos = chaos;
   cfg.check_invariants = true;
@@ -54,14 +71,14 @@ ParallelResult run_chaos(int nprocs, const ChaosConfig& chaos) {
   return groebner_parallel(problem(), cfg);
 }
 
-std::string replay_string(int nprocs, const ChaosConfig& chaos) {
-  return std::string("problem=") + kProblem + ";nprocs=" + std::to_string(nprocs) + ";" +
-         chaos.encode();
+std::string replay_string(const Variant& variant, int nprocs, const ChaosConfig& chaos) {
+  return std::string("problem=") + kProblem + ";nprocs=" + std::to_string(nprocs) +
+         ";" + variant.name() + ";" + chaos.encode();
 }
 
 /// "" when the run is healthy, else a description of what broke.
-std::string failure_reason(int nprocs, const ChaosConfig& chaos) {
-  ParallelResult res = run_chaos(nprocs, chaos);
+std::string failure_reason(const Variant& variant, int nprocs, const ChaosConfig& chaos) {
+  ParallelResult res = run_chaos(variant, nprocs, chaos);
   if (!res.violations.empty()) return "invariant violated: " + res.violations.front();
   std::vector<Polynomial> red = reduce_basis(problem().ctx, res.basis);
   if (red.size() != reference().size()) {
@@ -79,7 +96,7 @@ std::string failure_reason(int nprocs, const ChaosConfig& chaos) {
 /// Greedy 1-minimal shrink of a failing configuration: try zeroing each chaos
 /// knob and halving the processor count, keeping every simplification that
 /// still fails. Returns the minimal replay string.
-std::string shrink(int nprocs, ChaosConfig chaos) {
+std::string shrink(const Variant& variant, int nprocs, ChaosConfig chaos) {
   bool progress = true;
   while (progress) {
     progress = false;
@@ -108,55 +125,102 @@ std::string shrink(int nprocs, ChaosConfig chaos) {
       candidates.push_back(c);
     }
     for (const ChaosConfig& c : candidates) {
-      if (!failure_reason(nprocs, c).empty()) {
+      if (!failure_reason(variant, nprocs, c).empty()) {
         chaos = c;
         progress = true;
         break;
       }
     }
-    if (!progress && nprocs > 2 && !failure_reason(nprocs / 2, chaos).empty()) {
+    if (!progress && nprocs > 2 && !failure_reason(variant, nprocs / 2, chaos).empty()) {
       nprocs /= 2;
       progress = true;
     }
   }
-  return replay_string(nprocs, chaos);
+  return replay_string(variant, nprocs, chaos);
 }
 
 // ---------------------------------------------------------------------------
-// The matrix: seeds × {2, 4, 8} processors, one test per intensity level so
-// a failure pinpoints the regime.
+// The matrix: seeds × {2, 4, 8} processors, one test per intensity level and
+// protocol so a failure pinpoints the regime. The hybrid store ignores wire
+// batching, so it runs per-id only.
 
-class FuzzMatrixTest : public ::testing::TestWithParam<int> {};
+struct FuzzCell {
+  int level;
+  Variant variant;
+};
+
+void PrintTo(const FuzzCell& c, std::ostream* os) {
+  *os << "level " << c.level << ", " << (c.variant.batched ? "batched" : "per-id") << ", "
+      << (c.variant.hybrid ? "hybrid" : "replicated");
+}
+
+std::vector<FuzzCell> fuzz_cells() {
+  std::vector<FuzzCell> cells;
+  for (int level : {1, 2, 3}) {
+    cells.push_back({level, Variant{false, false}});
+    cells.push_back({level, Variant{true, false}});
+    cells.push_back({level, Variant{false, true}});
+  }
+  return cells;
+}
+
+class FuzzMatrixTest : public ::testing::TestWithParam<FuzzCell> {};
 
 TEST_P(FuzzMatrixTest, ChaoticSchedulesPreserveBasisAndInvariants) {
-  const int level = GetParam();
+  const FuzzCell& cell = GetParam();
   const int seeds = seeds_per_cell();
   for (int nprocs : {2, 4, 8}) {
     for (int s = 0; s < seeds; ++s) {
       std::uint64_t seed = 0x5EED0000u + static_cast<std::uint64_t>(s);
-      ChaosConfig chaos = ChaosConfig::intensity(level, seed);
-      std::string why = failure_reason(nprocs, chaos);
+      ChaosConfig chaos = ChaosConfig::intensity(cell.level, seed);
+      std::string why = failure_reason(cell.variant, nprocs, chaos);
       if (!why.empty()) {
-        ADD_FAILURE() << why << "\n  failing config: " << replay_string(nprocs, chaos)
-                      << "\n  shrunk to:      " << shrink(nprocs, chaos);
+        ADD_FAILURE() << why << "\n  failing config: " << replay_string(cell.variant, nprocs, chaos)
+                      << "\n  shrunk to:      " << shrink(cell.variant, nprocs, chaos);
         return;  // one reproducer per regime is enough signal
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Intensity, FuzzMatrixTest, ::testing::Values(1, 2, 3),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "Level" + std::to_string(info.param);
+INSTANTIATE_TEST_SUITE_P(Intensity, FuzzMatrixTest, ::testing::ValuesIn(fuzz_cells()),
+                         [](const ::testing::TestParamInfo<FuzzCell>& info) {
+                           const Variant& v = info.param.variant;
+                           return "Level" + std::to_string(info.param.level) +
+                                  (v.batched ? "_Batched" : "_PerId") +
+                                  (v.hybrid ? "_Hybrid" : "_Replicated");
                          });
+
+// ---------------------------------------------------------------------------
+// Pinned reproducers (arnborg4, P=2, seed = chaos seed + 1), both found by
+// the matrix above.
+
+TEST(FuzzRegressionTest, BatchedRoundMembersCountAsWork) {
+  // Members of a batched add round once left Idle?'s view before their
+  // pairs existed, so termination was announced in the middle of an add.
+  const Variant batched{true, false};
+  EXPECT_EQ(failure_reason(batched, 2,
+                           ChaosConfig::decode("chaos:v1;seed=1592590354;jit=400;rp=100;rw=2000")),
+            "");
+}
+
+TEST(FuzzRegressionTest, HybridAcksAreIdempotent) {
+  // The hybrid store's acks once carried no id and were counted blindly, so
+  // a duplicated ack aborted the run ("unexpected invalidation ack").
+  const Variant hybrid{false, true};
+  EXPECT_EQ(failure_reason(hybrid, 2,
+                           ChaosConfig::decode("chaos:v1;seed=1592590338;jit=800;rp=200;rw=4000;"
+                                               "dp=100;sp=250;sf=3")),
+            "");
+}
 
 // ---------------------------------------------------------------------------
 // Replayability: the replay string alone reproduces a run bit-for-bit.
 
 TEST(FuzzReplayTest, ReplayStringReproducesRunExactly) {
   ChaosConfig chaos = ChaosConfig::intensity(3, 0xC0FFEE);
-  ParallelResult a = run_chaos(4, chaos);
-  ParallelResult b = run_chaos(4, ChaosConfig::decode(chaos.encode()));
+  ParallelResult a = run_chaos(Variant{}, 4, chaos);
+  ParallelResult b = run_chaos(Variant{}, 4, ChaosConfig::decode(chaos.encode()));
   EXPECT_EQ(a.machine.makespan, b.machine.makespan);
   EXPECT_EQ(a.machine.duplicated_messages, b.machine.duplicated_messages);
   EXPECT_EQ(a.stats.messages_sent, b.stats.messages_sent);
@@ -169,7 +233,7 @@ TEST(FuzzReplayTest, ReplayStringReproducesRunExactly) {
 }
 
 TEST(FuzzReplayTest, SweepsActuallyRan) {
-  ParallelResult res = run_chaos(4, ChaosConfig::intensity(2, 7));
+  ParallelResult res = run_chaos(Variant{}, 4, ChaosConfig::intensity(2, 7));
   // The monitor must have swept periodically plus once at quiescence;
   // a zero here would mean the harness silently checked nothing.
   EXPECT_GE(res.invariant_sweeps, 2u);
@@ -188,14 +252,14 @@ TEST(InjectedFaultTest, DroppedInvalidationIsCaughtByCoherenceChecker) {
     ChaosConfig chaos;
     chaos.seed = seed;
     chaos.fault_drop_invalidate_permille = 500;
-    ParallelResult res = run_chaos(4, chaos);
+    ParallelResult res = run_chaos(Variant{}, 4, chaos);
     bool coherence = false;
     for (const std::string& v : res.violations) {
       if (v.find("basis-coherence") != std::string::npos) coherence = true;
     }
     if (coherence) {
       ++caught;
-      if (first_reproducer.empty()) first_reproducer = replay_string(4, chaos);
+      if (first_reproducer.empty()) first_reproducer = replay_string(Variant{}, 4, chaos);
     }
   }
   EXPECT_GE(caught, 3) << "coherence checker missed the injected lost-update bug";
@@ -204,7 +268,7 @@ TEST(InjectedFaultTest, DroppedInvalidationIsCaughtByCoherenceChecker) {
   std::size_t semi = first_reproducer.rfind("chaos:v1");
   ASSERT_NE(semi, std::string::npos);
   ChaosConfig replay = ChaosConfig::decode(first_reproducer.substr(semi));
-  ParallelResult again = run_chaos(4, replay);
+  ParallelResult again = run_chaos(Variant{}, 4, replay);
   bool coherence_again = false;
   for (const std::string& v : again.violations) {
     if (v.find("basis-coherence") != std::string::npos) coherence_again = true;
@@ -217,8 +281,8 @@ TEST(InjectedFaultTest, ShrinkStripsIrrelevantChaos) {
   // the failure, so shrinking must discard every schedule knob.
   ChaosConfig chaos = ChaosConfig::intensity(3, 2);
   chaos.fault_drop_invalidate_permille = 500;
-  ASSERT_FALSE(failure_reason(4, chaos).empty()) << "fault did not trigger at this seed";
-  std::string minimal = shrink(4, chaos);
+  ASSERT_FALSE(failure_reason(Variant{}, 4, chaos).empty()) << "fault did not trigger at this seed";
+  std::string minimal = shrink(Variant{}, 4, chaos);
   EXPECT_NE(minimal.find("fdi=500"), std::string::npos) << minimal;
   EXPECT_EQ(minimal.find("jit="), std::string::npos) << minimal;
   EXPECT_EQ(minimal.find("rp="), std::string::npos) << minimal;

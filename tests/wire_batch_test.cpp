@@ -1,7 +1,7 @@
-// Differential tests for the PR-3 wire batching: the coalesced protocol
-// (multi-id invalidation envelopes + multi-add lock rounds, batched
-// validation fetch/body traffic) must compute exactly the same reduced
-// Gröbner basis as the one-message-per-id oracle, stay deterministic on the
+// Differential tests for wire batching: the coalesced protocol (multi-id
+// invalidation envelopes + multi-add lock rounds, batched validation
+// fetch/body traffic) must compute exactly the same reduced Gröbner basis
+// as the one-message-per-id protocol, stay deterministic on the
 // simulator, actually put fewer envelopes on the wire, and survive chaos
 // schedules that reorder and duplicate the batched messages themselves.
 #include <gtest/gtest.h>
@@ -119,14 +119,15 @@ TEST(WireBatchTest, EnvelopeCountersShowCompression) {
   EXPECT_EQ(oracle.wire.body_batches, 0u);
 }
 
-TEST(WireBatchTest, MaxBatchOneDegeneratesToOracleBehavior) {
-  // With at most one add per lock round the batched path walks the same
-  // protocol states as the oracle; the answer must be identical.
+TEST(WireBatchTest, MatrixReductionMatchesOracle) {
+  // Exact coefficients, F4-style batches. On this schedule a dequeued
+  // pair's s-polynomial is zero (one basis element is a monomial multiple
+  // of another); it used to enter the matrix as an empty row that the
+  // elimination neither zeroed nor kept, and the run aborted.
   PolySystem sys = load_problem("katsura4");
-  std::vector<Polynomial> ref = reduced_reference(sys);
-  ParallelConfig cfg = batched_cfg(4);
-  cfg.max_batch_adds = 1;
-  expect_same_reduced(sys, groebner_parallel(sys, cfg).basis, ref, "max_batch=1");
+  ParallelConfig cfg = batched_cfg(2);
+  cfg.gb.matrix_reduce = true;
+  expect_same_reduced(sys, groebner_parallel(sys, cfg).basis, reduced_reference(sys), "matrix");
 }
 
 class WireBatchChaosTest : public ::testing::TestWithParam<std::uint64_t> {};

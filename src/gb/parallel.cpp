@@ -1006,6 +1006,9 @@ ParallelResult run_on_machine(Machine& machine, bool sim, const PolySystem& sys,
                               const ParallelConfig& cfg) {
   GBD_CHECK_MSG(!cfg.reserve_coordinator || cfg.nprocs >= 2,
                 "reserve_coordinator needs at least two processors");
+  // The hybrid store only speaks the per-id protocol (make_store).
+  GBD_CHECK_MSG(cfg.basis_mode != BasisMode::kHybrid || !cfg.wire.any(),
+                "wire batching is not supported by the hybrid basis store");
 
   // Canonical inputs, preloaded identically everywhere with owner-0 ids.
   std::vector<std::pair<PolyId, Polynomial>> inputs;

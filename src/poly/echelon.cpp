@@ -60,17 +60,18 @@ ZpColRow gather_monic(const ZpField& field, const std::vector<std::uint64_t>& ac
 }
 
 /// Zp pivot sweep for one work row: dense accumulator of canonical residues,
-/// walked left to right. A pivot's tail scatters strictly to the right of
-/// its head, so one pass clears every pivot column.
+/// walked left to right from column `start`. A pivot's tail scatters
+/// strictly to the right of its head, so one pass clears every pivot column
+/// at or after `start`; cells before it keep their scattered values.
 ZpColRow sweep_row_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat,
-                      const ZpField& field, const MatrixRow& row,
+                      const ZpField& field, const MatrixRow& row, std::size_t start,
                       std::vector<std::uint64_t>* acc, SweepTally* tally) {
   const std::size_t ncols = mat.ncols;
   std::fill(acc->begin(), acc->end(), 0);
   for (std::size_t i = 0; i < row.nnz(); ++i) {
     (*acc)[row.cols[i]] = zp_residue_u64(row.coeffs[i]);
   }
-  for (std::size_t c = 0; c < ncols; ++c) {
+  for (std::size_t c = start; c < ncols; ++c) {
     std::uint64_t f = (*acc)[c];
     if (f == 0) continue;
     std::int32_t pv = frame.pivot_of_col[c];
@@ -104,8 +105,9 @@ ZpColRow sweep_row_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat,
 /// elimination, ncols/8 + 1 per row — so virtual-time runs (SimMachine) are
 /// reproducible across hosts regardless of dispatch.
 ZpColRow sweep_row_zp_simd(const SymbolicFrame& frame, const MacaulayMatrix& mat,
-                           const ZpField& field, const MatrixRow& row, SimdLevel level,
-                           std::vector<std::uint64_t>* acc, SweepTally* tally) {
+                           const ZpField& field, const MatrixRow& row, std::size_t start,
+                           SimdLevel level, std::vector<std::uint64_t>* acc,
+                           SweepTally* tally) {
   const std::size_t ncols = mat.ncols;
   const std::uint64_t p = field.p();
   const std::uint64_t r64 = field.r_mod_p();
@@ -113,7 +115,7 @@ ZpColRow sweep_row_zp_simd(const SymbolicFrame& frame, const MacaulayMatrix& mat
   for (std::size_t i = 0; i < row.nnz(); ++i) {
     (*acc)[row.cols[i]] = zp_residue_u64(row.coeffs[i]);
   }
-  for (std::size_t c = 0; c < ncols; ++c) {
+  for (std::size_t c = start; c < ncols; ++c) {
     std::uint64_t v = (*acc)[c];
     if (v == 0) continue;
     // Finalize the cell: one division, skipped when no elimination ever
@@ -322,10 +324,11 @@ void interreduce_exact(const PolyContext& ctx,
   *alive = std::move(kept);
 }
 
-}  // namespace
-
-EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
-                             const MacaulayMatrix& mat, const EchelonOptions& opts) {
+/// echelon_reduce, and the tail sweep of reduce_tails when `keep_heads`: a
+/// row's sweep then starts one column right of its head, so the head term
+/// survives even where a pivot covers it, and stage 2 is skipped.
+EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
+                      const MacaulayMatrix& mat, const EchelonOptions& opts, bool keep_heads) {
   MatrixKernelStats& st = matrix_kernel_stats();
   const std::size_t nrows = mat.work_rows.size();
   EchelonOutput out;
@@ -360,12 +363,15 @@ EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
     for (std::size_t i = t; i < nrows; i += nthreads) {
       const MatrixRow& row = mat.work_rows[i];
       if (row.empty()) continue;
+      // Every cell left of the head is zero, so a sweep may as well start
+      // at the head.
+      const std::size_t start = row.cols[0] + (keep_heads ? 1 : 0);
       if (!zp) {
         reduced[i] = sweep_row_exact(ctx, frame, row, &cache, &tally);
       } else if (use_simd) {
-        swept[i] = sweep_row_zp_simd(frame, mat, field, row, level, &acc, &tally);
+        swept[i] = sweep_row_zp_simd(frame, mat, field, row, start, level, &acc, &tally);
       } else {
-        swept[i] = sweep_row_zp(frame, mat, field, row, &acc, &tally);
+        swept[i] = sweep_row_zp(frame, mat, field, row, start, &acc, &tally);
       }
     }
     tally.cost = scope.elapsed();
@@ -418,7 +424,7 @@ EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
   };
   if (zp) {
     auto alive = survivors(swept, [](const ZpColRow& r) { return r.empty(); });
-    if (opts.interreduce && alive.size() > 1) {
+    if (opts.interreduce && !keep_heads && alive.size() > 1) {
       interreduce_zp(field, ctx.nvars(), mat.ncols, &alive, &out.src_zeroed, &st);
     }
     std::sort(alive.begin(), alive.end(),
@@ -452,16 +458,40 @@ EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
   return out;
 }
 
-EchelonOutput reduce_batch(const PolyContext& ctx, const std::vector<Polynomial>& rows,
-                           const ReducerSet& reducers, const EchelonOptions& opts,
-                           SymbolicTable* table) {
+/// Symbolic preprocessing, matrix build and elimination of one batch.
+EchelonOutput run_batch(const PolyContext& ctx, const std::vector<Polynomial>& rows,
+                        const ReducerSet& reducers, const EchelonOptions& opts,
+                        SymbolicTable* table, bool keep_heads) {
   SymbolicFrame frame = symbolic_preprocess(ctx, rows, reducers, table);
   // Only lay out multiline runs when the vector sweep could actually run, so
   // scalar-pinned configurations don't pay (or get charged) the extra build.
   const bool want_runs =
       opts.coeff.is_zp() && !opts.force_scalar && simd_level() != SimdLevel::kScalar;
   MacaulayMatrix mat = build_matrix(ctx, frame, rows, opts.coeff, want_runs);
-  return echelon_reduce(ctx, frame, mat, opts);
+  return echelon(ctx, frame, mat, opts, keep_heads);
+}
+
+}  // namespace
+
+EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
+                             const MacaulayMatrix& mat, const EchelonOptions& opts) {
+  return echelon(ctx, frame, mat, opts, /*keep_heads=*/false);
+}
+
+EchelonOutput reduce_batch(const PolyContext& ctx, const std::vector<Polynomial>& rows,
+                           const ReducerSet& reducers, const EchelonOptions& opts,
+                           SymbolicTable* table) {
+  return run_batch(ctx, rows, reducers, opts, table, /*keep_heads=*/false);
+}
+
+std::vector<Polynomial> reduce_tails(const PolyContext& ctx, const std::vector<Polynomial>& rows,
+                                     const ReducerSet& reducers, const EchelonOptions& opts) {
+  GBD_CHECK_MSG(opts.coeff.is_zp(), "reduce_tails: Zp only");
+  EchelonOutput eo = run_batch(ctx, rows, reducers, opts, nullptr, /*keep_heads=*/true);
+  // A kept head is nonzero, so no nonzero row is zeroed or dropped.
+  std::vector<Polynomial> out(rows.size());
+  for (EchelonOutput::NewRow& r : eo.rows) out[r.src] = std::move(r.poly);
+  return out;
 }
 
 }  // namespace gbd

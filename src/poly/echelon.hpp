@@ -30,6 +30,10 @@
 // Engines want this on (duplicate heads would enter the basis only to be
 // discarded); the differential tests turn it off to compare per-row normal
 // forms one-to-one against reduce_full.
+//
+// reduce_tails runs stage 1 only, and each row's sweep starts one column
+// right of its own head, so the head survives: the Zp final reduction of
+// reduce_basis (DESIGN.md §21).
 #pragma once
 
 #include <cstddef>
@@ -84,5 +88,14 @@ EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
 EchelonOutput reduce_batch(const PolyContext& ctx, const std::vector<Polynomial>& rows,
                            const ReducerSet& reducers, const EchelonOptions& opts,
                            SymbolicTable* table = nullptr);
+
+/// Tail-reduce every row against `reducers`, keeping its own head term: the
+/// same pipeline as reduce_batch, but each row's sweep starts one column
+/// right of its head and stage 2 never runs. Over a minimal basis given as
+/// both the rows and the reducer set, this is the reduced basis
+/// (reduce_basis; DESIGN.md §21). Zp only; rows must be nonzero, monic and
+/// canonical. Returns one monic polynomial per row, in input order.
+std::vector<Polynomial> reduce_tails(const PolyContext& ctx, const std::vector<Polynomial>& rows,
+                                     const ReducerSet& reducers, const EchelonOptions& opts);
 
 }  // namespace gbd

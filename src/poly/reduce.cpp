@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "bigint/zp.hpp"
+#include "poly/echelon.hpp"
 #include "poly/geobucket.hpp"
 #include "support/check.hpp"
 #include "support/cost.hpp"
@@ -18,7 +19,10 @@ bool reducer_preferred(const Polynomial& a, const Polynomial& b) {
 }
 
 const Polynomial* VectorReducerSet::find_reducer(const Monomial& m, std::uint64_t* out_id) const {
-  if (polys_ == nullptr || polys_->empty()) return nullptr;
+  // A set holding only the excluded element is empty, and counts no call.
+  if (polys_ == nullptr || polys_->size() == (excluded_ < polys_->size() ? 1u : 0u)) {
+    return nullptr;
+  }
   FindReducerStats& st = find_reducer_stats();
   st.calls += 1;
   // Extend the mask cache over elements appended since the last call.
@@ -284,24 +288,25 @@ std::vector<Polynomial> interreduce(const PolyContext& ctx, std::vector<Polynomi
   ReduceOptions opts;
   opts.tail_reduce = true;
   opts.coeff = coeff;
+  // One set over `work` that refuses only the element being reduced answers
+  // as a set over copies of all the others would. Its mask cache assumes
+  // append-only growth, so it is rebuilt whenever `work` changes.
+  VectorReducerSet set(&work);
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t i = 0; i < work.size();) {
-      std::vector<Polynomial> others;
-      others.reserve(work.size() - 1);
-      for (std::size_t j = 0; j < work.size(); ++j) {
-        if (j != i) others.push_back(work[j]);
-      }
-      VectorReducerSet set(&others);
+      set.exclude(i);
       Polynomial nf = reduce_full(ctx, work[i], set, opts).poly;
       if (nf.is_zero()) {
         work.erase(work.begin() + static_cast<std::ptrdiff_t>(i));
+        set = VectorReducerSet(&work);
         changed = true;
         continue;
       }
       if (!nf.equals(work[i])) {
         work[i] = std::move(nf);
+        set = VectorReducerSet(&work);
         changed = true;
       }
       ++i;
@@ -342,21 +347,30 @@ std::vector<Polynomial> reduce_basis(const PolyContext& ctx, std::vector<Polynom
     if (!covered) minimal.push_back(std::move(in[i]));
   }
 
-  // Tail-reduce each element against all the others, through one reducer
-  // set over the whole minimal basis that refuses only the element being
-  // reduced. By minimality no other head divides this element's head, and
-  // its own head divides none of its tail terms nor any term a step
-  // introduces (all strictly smaller), so the element is never a candidate
-  // except at its head, where nothing else applies either.
-  std::vector<Polynomial> out(minimal.size());
+  // Tail-reduce each element against the whole minimal basis. By
+  // minimality no other head divides an element's head, and its own head
+  // divides none of its tail terms nor any term a step introduces (all
+  // strictly smaller), so against the whole basis the element is a candidate
+  // only at its own head, where nothing else applies (DESIGN.md §19, §21).
+  //   · Zp: one Macaulay matrix whose rows are the minimal elements, each
+  //     swept from one column right of its head;
+  //   · exact: one reduce_full per element, through a set that refuses only
+  //     the element itself.
   VectorReducerSet set(&minimal);
-  ReduceOptions opts;
-  opts.tail_reduce = true;
-  opts.coeff = coeff;
-  for (std::size_t i = 0; i < minimal.size(); ++i) {
-    set.exclude(i);
-    out[i] = reduce_full(ctx, minimal[i], set, opts).poly;
-    GBD_CHECK_MSG(!out[i].is_zero(), "reduce_basis: minimal element reduced to zero");
+  std::vector<Polynomial> out;
+  if (coeff.is_zp()) {
+    EchelonOptions eo;
+    eo.coeff = coeff;
+    out = reduce_tails(ctx, minimal, set, eo);
+  } else {
+    out.resize(minimal.size());
+    ReduceOptions opts;
+    opts.tail_reduce = true;
+    for (std::size_t i = 0; i < minimal.size(); ++i) {
+      set.exclude(i);
+      out[i] = reduce_full(ctx, minimal[i], set, opts).poly;
+      GBD_CHECK_MSG(!out[i].is_zero(), "reduce_basis: minimal element reduced to zero");
+    }
   }
 
   std::sort(out.begin(), out.end(), [&](const Polynomial& a, const Polynomial& b) {

@@ -94,8 +94,9 @@ class VectorReducerSet final : public ReducerSet {
 
   /// Never report element i (replacing any earlier exclusion). find_reducer
   /// then answers exactly as a set over the vector without element i would
-  /// — same winner, same probes — which lets reduce_basis tail-reduce every
-  /// element against "all the others" without copying them.
+  /// — same winner, same probes — which lets the exact reduce_basis and
+  /// interreduce reduce every element against "all the others" without
+  /// copying them.
   void exclude(std::size_t i) { excluded_ = i; }
 
  private:
@@ -159,9 +160,17 @@ bool is_normal(const Polynomial& p, const ReducerSet& set);
 
 /// Canonical *reduced* Gröbner basis: minimize (drop elements whose head is
 /// divisible by another's), tail-reduce every element against the rest, make
-/// primitive, and sort by ascending head monomial. Two engines computing a
-/// Gröbner basis of the same ideal agree exactly on this form — the
-/// cross-engine oracle used throughout the tests.
+/// primitive (exact) or monic (Zp), and sort by ascending head monomial. Two
+/// engines computing a Gröbner basis of the same ideal agree exactly on this
+/// form — the cross-engine oracle used throughout the tests.
+///
+/// The tail reduction depends on the field (DESIGN.md §21):
+///   · Zp: one Macaulay matrix over the whole minimal basis (reduce_tails in
+///     echelon.hpp); each row keeps its own head and is swept from the next
+///     column on. Charges what the matrix kernel charges.
+///   · exact: one reduce_full per element, against the whole minimal basis
+///     minus that element (VectorReducerSet::exclude).
+/// Both give the unique reduced basis.
 ///
 /// REQUIRES the input to be a Gröbner basis: the minimization step drops any
 /// element whose head another element's head divides, which only preserves

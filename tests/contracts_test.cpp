@@ -5,9 +5,11 @@
 
 #include "bigint/bigint.hpp"
 #include "bigint/rational.hpp"
+#include "gb/parallel.hpp"
 #include "io/parse.hpp"
 #include "poly/reduce.hpp"
 #include "poly/spoly.hpp"
+#include "problems/problems.hpp"
 #include "support/serialize.hpp"
 
 namespace gbd {
@@ -88,6 +90,21 @@ TEST(ContractsDeathTest, ReduceFullMaxStepsAborts) {
   ReduceOptions opts;
   opts.max_steps = 3;  // x^20 needs 20 steps
   EXPECT_DEATH({ auto out = reduce_full(c, p, set, opts); (void)out; }, "max_steps");
+}
+
+TEST(ContractsDeathTest, HybridStoreRejectsWireBatching) {
+  // The hybrid store speaks only the per-id protocol; a batching request
+  // would be silently ignored, so the engine refuses it up front.
+  PolySystem sys = load_problem("arnborg4");
+  for (bool fetches : {false, true}) {
+    ParallelConfig cfg;
+    cfg.nprocs = 2;
+    cfg.basis_mode = BasisMode::kHybrid;
+    cfg.wire.batch_invalidations = !fetches;
+    cfg.wire.batch_fetches = fetches;
+    EXPECT_DEATH({ auto r = groebner_parallel(sys, cfg); (void)r; },
+                 "not supported by the hybrid basis store");
+  }
 }
 
 }  // namespace

@@ -7,9 +7,14 @@
 //     sides of the inline/heap boundary (Monomial::kInlineVars).
 //   · copying_reduce_basis — reduce_basis as first written: every element is
 //     tail-reduced against a fresh vector holding copies of all the others.
-//     The library version reduces against one set over the whole minimal
-//     basis that refuses only the element itself; both must return the same
-//     polynomials and charge the same cost units.
+//     Both must return the same polynomials. The library's exact path
+//     reduces against one set over the whole minimal basis that refuses only
+//     the element itself and must also charge the same cost units; its Zp
+//     path is one Macaulay matrix and charges what the matrix kernel does.
+//   · copying_interreduce — interreduce as first written: a fresh vector of
+//     copies of the others per element visited. The library reduces against
+//     one set over the working vector that refuses only the element itself;
+//     both must return the same polynomials and charge the same cost units.
 //   · zp_interreduce_polys — stage 2 of the Zp echelon kernel as first
 //     written, on Polynomials: zp_combine merges on monomial order. The
 //     library runs it on the sweep's (column, residue) rows, merging on
@@ -180,6 +185,42 @@ inline std::vector<Polynomial> copying_reduce_basis(const PolyContext& ctx,
     return ctx.cmp(a.hmono(), b.hmono()) < 0;
   });
   return out;
+}
+
+/// interreduce with per-element copies of the others (see the file header).
+inline std::vector<Polynomial> copying_interreduce(const PolyContext& ctx,
+                                                   std::vector<Polynomial> gens,
+                                                   const CoeffOptions& coeff = {}) {
+  std::vector<Polynomial> work;
+  for (auto& g : gens) {
+    coeff_normalize(ctx, &g, coeff);
+    if (!g.is_zero()) work.push_back(std::move(g));
+  }
+  ReduceOptions opts;
+  opts.tail_reduce = true;
+  opts.coeff = coeff;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t i = 0; i < work.size();) {
+      std::vector<Polynomial> others;
+      for (std::size_t j = 0; j < work.size(); ++j)
+        if (j != i) others.push_back(work[j]);
+      VectorReducerSet set(&others);
+      Polynomial nf = reduce_full(ctx, work[i], set, opts).poly;
+      if (nf.is_zero()) {
+        work.erase(work.begin() + static_cast<std::ptrdiff_t>(i));
+        changed = true;
+        continue;
+      }
+      if (!nf.equals(work[i])) {
+        work[i] = std::move(nf);
+        changed = true;
+      }
+      ++i;
+    }
+  }
+  return work;
 }
 
 /// Stage 2 over Zp on Polynomials. `swept` is echelon_reduce's output with

@@ -118,12 +118,12 @@ int main() {
     v.cfg.nprocs = 8;
     ParallelResult res = bench::best_of_seeds(sys, v.cfg, 2);
     table.add_row({v.name, std::to_string(res.machine.makespan),
-                   std::to_string(res.compute_units),
+                   std::to_string(res.stats.work_units),
                    std::to_string(res.stats.reductions_to_zero),
                    std::to_string(res.stats.basis_added),
-                   std::to_string(res.stats.messages_sent),
-                   std::to_string(res.stats.polys_transferred),
-                   std::to_string(res.stats.peak_resident_bodies)});
+                   std::to_string(res.machine.total(&ProcCommStats::messages_sent)),
+                   std::to_string(res.wire.bodies_received),
+                   std::to_string(res.wire.max_resident)});
   }
   std::printf("%s\n", table.render().c_str());
 

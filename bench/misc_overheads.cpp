@@ -30,13 +30,14 @@ int main() {
                         static_cast<double>(res.machine.makespan);
       double per_add = res.stats.basis_added == 0
                            ? 0.0
-                           : static_cast<double>(res.stats.polys_transferred) /
+                           : static_cast<double>(res.wire.bodies_received) /
                                  static_cast<double>(res.stats.basis_added);
       table.add_row({name, std::to_string(p), std::to_string(res.machine.makespan),
                      std::to_string(res.stats.basis_added),
-                     std::to_string(res.stats.polys_transferred), fmt(per_add),
-                     std::to_string(res.stats.messages_sent),
-                     std::to_string(res.stats.bytes_sent), fmt(crit_pct)});
+                     std::to_string(res.wire.bodies_received), fmt(per_add),
+                     std::to_string(res.machine.total(&ProcCommStats::messages_sent)),
+                     std::to_string(res.machine.total(&ProcCommStats::bytes_sent)),
+                     fmt(crit_pct)});
     }
   }
   std::printf("%s", table.render().c_str());

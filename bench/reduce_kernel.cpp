@@ -293,8 +293,9 @@ int run_matrix_mode(bool smoke, const std::string& out_path, int repeat) {
 //   reduce_kernel --pr8 [--smoke] [--repeat N] [--out FILE]
 //
 // runs the sequential matrix engine mod p on each problem three ways —
-// dispatch pinned scalar, automatic dispatch (the vector sweep where the
-// host supports it), and vector + 2 kernel lanes — checks all three reach
+// dispatch pinned scalar (GBD_DISABLE_SIMD set for that run), automatic
+// dispatch (the vector sweep where the host supports it), and automatic
+// dispatch + 2 kernel lanes — checks all three reach
 // the bit-identical reduced basis, and reports min-of-N whole-run times
 // plus the stage-1 sweep time (the dense-tile phase the SIMD work targets).
 // The JSON records the host's vector features and the dispatch choice so
@@ -338,6 +339,21 @@ Pr8Timing pr8_time(const PolySystem& sys, const GbConfig& cfg, int reps) {
   return t;
 }
 
+/// pr8_time with dispatch pinned to the scalar kernel through the
+/// environment; the caller's GBD_DISABLE_SIMD setting is restored after.
+Pr8Timing pr8_time_scalar(const PolySystem& sys, const GbConfig& cfg, int reps) {
+  const char* prev = std::getenv("GBD_DISABLE_SIMD");
+  const std::string saved = prev != nullptr ? prev : "";
+  setenv("GBD_DISABLE_SIMD", "1", 1);
+  Pr8Timing t = pr8_time(sys, cfg, reps);
+  if (prev != nullptr) {
+    setenv("GBD_DISABLE_SIMD", saved.c_str(), 1);
+  } else {
+    unsetenv("GBD_DISABLE_SIMD");
+  }
+  return t;
+}
+
 int run_pr8_mode(bool smoke, int repeat, const std::string& out_path) {
   const std::uint64_t prime = prev_prime_u64(std::uint64_t{1} << 31);
   const int reps = repeat > 0 ? repeat : (smoke ? 1 : 5);
@@ -357,16 +373,13 @@ int run_pr8_mode(bool smoke, int repeat, const std::string& out_path) {
     if (smoke && !row.smoke) continue;
     PolySystem sys = load_with_order(row.problem, OrderKind::kGrLex);
     CoeffOptions coeff = CoeffOptions::zp(prime);
-    GbConfig scalar_cfg;
-    scalar_cfg.coeff = coeff;
-    scalar_cfg.matrix_reduce = true;
-    scalar_cfg.matrix_force_scalar = true;
-    GbConfig simd_cfg = scalar_cfg;
-    simd_cfg.matrix_force_scalar = false;
+    GbConfig simd_cfg;
+    simd_cfg.coeff = coeff;
+    simd_cfg.matrix_reduce = true;
     GbConfig lanes_cfg = simd_cfg;
     lanes_cfg.matrix_threads = 2;
 
-    Pr8Timing sc = pr8_time(sys, scalar_cfg, reps);
+    Pr8Timing sc = pr8_time_scalar(sys, simd_cfg, reps);
     Pr8Timing vec = pr8_time(sys, simd_cfg, reps);
     Pr8Timing ln = pr8_time(sys, lanes_cfg, reps);
 

@@ -266,7 +266,7 @@ GlpCell bench_glp(const std::string& problem, int nprocs) {
     Writer w;
     w.u64(static_cast<std::uint64_t>(wall * 1000.0));  // us
     w.u64(res.basis.size());
-    w.u64(res.stats.messages_sent);
+    w.u64(res.machine.total(&ProcCommStats::messages_sent));
     w.u64(net.frames_sent);
     w.u64(net.bytes_sent);
     w.u64(net.retransmits);

@@ -72,12 +72,8 @@ Cell measure_cell(const PolySystem& sys, int threads, int repeats, double wall_m
     double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (i == 0 || ms < c.wall_ms) {
       c.wall_ms = ms;
-      c.messages = 0;
-      c.bytes = 0;
-      for (const ProcCommStats& pc : r.machine.per_proc) {
-        c.messages += pc.messages_sent;
-        c.bytes += pc.bytes_sent;
-      }
+      c.messages = r.machine.total(&ProcCommStats::messages_sent);
+      c.bytes = r.machine.total(&ProcCommStats::bytes_sent);
       c.wakeups = c.notifies = c.lock_contended = c.max_drain_batch = 0;
       for (const MailboxStats& mb : r.machine.mailbox) {
         c.wakeups += mb.wakeups;

@@ -161,6 +161,14 @@ int main(int argc, char** argv) {
   std::vector<Polynomial> basis;
   GbStats stats;
   std::uint64_t elapsed = 0;
+  // Traffic, read from its owner: the machine and basis store for GL-P, the
+  // ring for the pipeline. Printed only when something was sent.
+  std::string comm;
+  auto comm_line = [&comm](std::uint64_t msgs, std::uint64_t bytes, std::uint64_t bodies) {
+    if (msgs == 0) return;
+    comm = " msgs=" + std::to_string(msgs) + " bytes=" + std::to_string(bytes) +
+           " polys_moved=" + std::to_string(bodies);
+  };
   if (engine == "sequential") {
     SequentialResult r = groebner_sequential(sys, gb);
     basis = std::move(r.basis);
@@ -183,6 +191,8 @@ int main(int argc, char** argv) {
     basis = std::move(r.basis);
     stats = r.stats;
     elapsed = r.machine.makespan;
+    comm_line(r.machine.total(&ProcCommStats::messages_sent),
+              r.machine.total(&ProcCommStats::bytes_sent), r.wire.bodies_received);
   } else if (engine == "shared") {
     SharedMemoryConfig cfg;
     cfg.gb = gb;
@@ -201,14 +211,15 @@ int main(int argc, char** argv) {
     basis = std::move(r.basis);
     stats = r.stats;
     elapsed = r.makespan;
+    comm_line(r.token_hops, r.ring_bytes, r.token_hops);
   } else {
     std::fprintf(stderr, "unknown engine '%s'\n", engine.c_str());
     return 1;
   }
 
   // --- report ----------------------------------------------------------------
-  std::fprintf(stderr, "engine=%s order=%s %s\n", engine.c_str(), order_name(sys.ctx.order),
-               stats.summary().c_str());
+  std::fprintf(stderr, "engine=%s order=%s %s%s\n", engine.c_str(), order_name(sys.ctx.order),
+               stats.summary().c_str(), comm.c_str());
   std::fprintf(stderr, "time=%llu units, |G|=%zu\n",
                static_cast<unsigned long long>(elapsed), basis.size());
 

@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
     std::uint64_t steals = 0;
     table.add_row({std::to_string(p), std::to_string(res.machine.makespan),
                    fmt(base_time / static_cast<double>(res.machine.makespan)),
-                   std::to_string(res.stats.messages_sent),
-                   std::to_string(res.stats.polys_transferred), std::to_string(steals),
+                   std::to_string(res.machine.total(&ProcCommStats::messages_sent)),
+                   std::to_string(res.wire.bodies_received), std::to_string(steals),
                    correct ? "yes" : "NO"});
   }
   std::printf("%s\n", table.render().c_str());

@@ -27,6 +27,7 @@
 // so every ack carries its round's token and is idempotent.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -58,6 +59,20 @@ struct BasisStats {
   std::uint64_t invalidation_batches = 0;
   std::uint64_t fetch_batches = 0;
   std::uint64_t body_batches = 0;
+
+  /// Sum the traffic counters; max_resident, a high-water mark, takes the max.
+  void merge(const BasisStats& o) {
+    invalidations_sent += o.invalidations_sent;
+    fetches_sent += o.fetches_sent;
+    bodies_received += o.bodies_received;
+    bodies_served += o.bodies_served;
+    bodies_forwarded += o.bodies_forwarded;
+    evictions += o.evictions;
+    max_resident = std::max(max_resident, o.max_resident);
+    invalidation_batches += o.invalidation_batches;
+    fetch_batches += o.fetch_batches;
+    body_batches += o.body_batches;
+  }
 };
 
 /// Wire-level batching knobs for the replicated store's protocol. Off by

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "support/check.hpp"
+
 namespace gbd {
 
 const char* selection_name(Selection s) {
@@ -18,6 +20,17 @@ const char* selection_name(Selection s) {
   return "?";
 }
 
+void check_baseline_config(const GbConfig& gb) {
+  GBD_CHECK_MSG(!gb.coeff.is_zp(),
+                "this engine is exact-only; use the sequential or GL-P engines for Zp");
+  GBD_CHECK_MSG(!gb.matrix_reduce, "this engine does not support matrix_reduce");
+  GBD_CHECK_MSG(!gb.tail_reduce, "this engine does not support tail_reduce");
+  GBD_CHECK_MSG(!gb.interreduce_input, "this engine does not support interreduce_input");
+  GBD_CHECK_MSG(gb.selection != Selection::kSugar,
+                "this engine does not support sugar selection (pairs carry no sugar)");
+  GBD_CHECK_MSG(gb.stop == nullptr, "this engine runs to completion and does not support stop");
+}
+
 void GbStats::merge(const GbStats& other) {
   pairs_created += other.pairs_created;
   pairs_pruned_coprime += other.pairs_pruned_coprime;
@@ -28,13 +41,6 @@ void GbStats::merge(const GbStats& other) {
   reduction_steps += other.reduction_steps;
   max_step_cost = std::max(max_step_cost, other.max_step_cost);
   work_units += other.work_units;
-  messages_sent += other.messages_sent;
-  bytes_sent += other.bytes_sent;
-  polys_transferred += other.polys_transferred;
-  lock_wait_units += other.lock_wait_units;
-  idle_units += other.idle_units;
-  termination_units += other.termination_units;
-  peak_resident_bodies = std::max(peak_resident_bodies, other.peak_resident_bodies);
 }
 
 std::string GbStats::summary() const {
@@ -43,10 +49,6 @@ std::string GbStats::summary() const {
      << " pruned(chain)=" << pairs_pruned_chain << " spolys=" << spolys_computed
      << " zeroed=" << reductions_to_zero << " added=" << basis_added
      << " steps=" << reduction_steps << " work=" << work_units;
-  if (messages_sent > 0) {
-    os << " msgs=" << messages_sent << " bytes=" << bytes_sent
-       << " polys_moved=" << polys_transferred;
-  }
   return os.str();
 }
 

@@ -2,8 +2,8 @@
 //
 // Five engines compute Gröbner bases in this library (sequential, transition
 // -axiom G-1, distributed GL-P, shared-memory, pipeline). They share the
-// option set and report the same statistics so the benchmark harnesses can
-// compare them exhibit-for-exhibit against the paper.
+// option set and report the same algebra statistics so the benchmark
+// harnesses can compare them exhibit-for-exhibit against the paper.
 #pragma once
 
 #include <atomic>
@@ -26,8 +26,8 @@ enum class Selection : std::uint8_t {
   kFifo,    ///< creation order (no heuristic) — ablation baseline
   kSugar,   ///< minimal sugar degree (Giovini et al. '91), ties by lcm —
             ///< one of the "wide spectrum" of heuristics §7 discusses.
-            ///< Honored by the sequential engine; elsewhere falls back to
-            ///< kNormal ordering (pair sugar is not propagated over the wire).
+            ///< Sequential engine only: pair sugar is not propagated over
+            ///< the wire, so every other engine rejects it.
 };
 
 const char* selection_name(Selection s);
@@ -44,10 +44,11 @@ struct GbConfig {
   bool gm_update = true;
   /// Tail-reduce polynomials before adding them to the basis (ablation; the
   /// paper discusses head-only vs full reduction as an open heuristic).
+  /// Sequential engine only; every other engine rejects it.
   bool tail_reduce = false;
   /// Interreduce the input generators before starting ("whether
-  /// interreduction helps or not" is §7's open question; honored by the
-  /// sequential engine).
+  /// interreduction helps or not" is §7's open question). Sequential engine
+  /// only; every other engine rejects it.
   bool interreduce_input = false;
   /// Use the geobucket accumulator inside reduce_full (see reduce.hpp).
   /// Normal forms and step counts are identical either way; the switch
@@ -67,7 +68,8 @@ struct GbConfig {
   /// and add all surviving rows. The per-poly geobucket path stays the
   /// bit-exact oracle; both paths yield the same reduced basis. Honored by
   /// the sequential engine and the GL-P engines (and, through them, the
-  /// multi-modular driver's per-prime jobs); other engines ignore it.
+  /// multi-modular driver's per-prime jobs); the transition, shared-memory
+  /// and pipeline engines reject it.
   bool matrix_reduce = false;
   /// Cap on pairs per matrix round (matrix_reduce only).
   std::size_t matrix_batch_max = 64;
@@ -78,22 +80,22 @@ struct GbConfig {
   /// makespan, Thread/Socket grant what the host has spare). Results are
   /// identical for any value.
   std::size_t matrix_threads = 1;
-  /// Pin the elimination kernel to the scalar Montgomery sweep even where
-  /// the vectorized path (poly/simd.hpp) is available. Differential knob;
-  /// results and charged costs are identical either way.
-  bool matrix_force_scalar = false;
   /// Abort knob for tests; a correct run never hits it.
   std::uint64_t max_spolys = std::numeric_limits<std::uint64_t>::max();
   /// Cooperative cancellation seam (the serve daemon's deadline/cancel path):
   /// when non-null and the pointee becomes true, the engine stops at the next
   /// pair boundary and returns with GbResult::aborted set — the partial basis
   /// is NOT a Gröbner basis and must be discarded by the caller. Honored by
-  /// the sequential engine (both per-poly and matrix paths); the parallel
-  /// engines run to completion and ignore it.
+  /// the sequential engine (both per-poly and matrix paths); every other
+  /// engine runs to completion and rejects it.
   const std::atomic<bool>* stop = nullptr;
 };
 
-/// Counters matching the quantities the paper reports (Tables 1-3, §6).
+/// The algebra counters the paper reports (Tables 1-2). Communication has
+/// its own owners (DESIGN.md §22): messages and bytes in the machine's
+/// ProcCommStats, bodies moved and peak residency in the basis store's
+/// BasisStats, lock wait in the lock (or SharedMemoryResult), and ring
+/// traffic in PipelineResult.
 struct GbStats {
   std::uint64_t pairs_created = 0;
   std::uint64_t pairs_pruned_coprime = 0;
@@ -105,18 +107,16 @@ struct GbStats {
   std::uint64_t max_step_cost = 0;  ///< Table 1 "Max Single Reduction Step"
   std::uint64_t work_units = 0;     ///< total charged term-operations
 
-  // Distributed-run extras (§5-§7): all zero for sequential engines.
-  std::uint64_t messages_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t polys_transferred = 0;  ///< polynomial bodies moved between processors
-  std::uint64_t lock_wait_units = 0;    ///< virtual time spent waiting for the invalidation lock
-  std::uint64_t idle_units = 0;         ///< virtual time spent with no enabled axiom
-  std::uint64_t termination_units = 0;  ///< virtual time in termination detection
-  std::uint64_t peak_resident_bodies = 0;  ///< basis-store memory high-water (max over procs)
-
   void merge(const GbStats& other);
   std::string summary() const;
 };
+
+/// The transition, shared-memory and pipeline engines are exact-only, reduce
+/// per polynomial, head-only, push every pair with sugar 0 and run to
+/// completion: abort on a GbConfig field they have no path for (Zp,
+/// matrix_reduce, tail_reduce, interreduce_input, kSugar, stop) instead of
+/// silently ignoring it.
+void check_baseline_config(const GbConfig& gb);
 
 struct GbResult {
   /// The raw basis G on completion (input ∪ added, order of addition).

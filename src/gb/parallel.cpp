@@ -15,7 +15,6 @@
 #include "obs/telemetry.hpp"
 #include "poly/echelon.hpp"
 #include "poly/reduce.hpp"
-#include "poly/simd.hpp"
 #include "poly/spoly.hpp"
 #include "support/check.hpp"
 #include "support/cost.hpp"
@@ -95,7 +94,6 @@ struct ProcOutput {
   GbStats stats;
   BasisStats basis;
   ProcTrace trace;
-  std::uint64_t lock_wait = 0;
 };
 
 /// The augment protocol's split-phase state (§5: the suspended "thread").
@@ -223,11 +221,6 @@ class GlpWorker {
         break;
       }
     }
-    out_->lock_wait = lock_.wait_units();
-    out_->stats.lock_wait_units = lock_.wait_units();
-    out_->stats.idle_units = self_.comm_stats().idle_units;
-    out_->stats.polys_transferred = basis_.stats().bodies_received;
-    out_->stats.peak_resident_bodies = basis_.stats().max_resident;
     out_->basis = basis_.stats();
     if (cfg_.metrics != nullptr) push_metrics(*cfg_.metrics);
   }
@@ -319,9 +312,7 @@ class GlpWorker {
     reg.add("gb.basis_added", p, g.basis_added);
     reg.add("gb.reduction_steps", p, g.reduction_steps);
     reg.add("gb.work_units", p, g.work_units);
-    reg.add("gb.lock_wait_units", p, g.lock_wait_units);
-    reg.add("gb.idle_units", p, g.idle_units);
-    reg.add("gb.peak_resident_bodies", p, g.peak_resident_bodies);
+    reg.add("gb.lock_wait_units", p, lock_.wait_units());
     const BasisStats& b = basis_.stats();
     reg.add("basis.invalidations_sent", p, b.invalidations_sent);
     reg.add("basis.fetches_sent", p, b.fetches_sent);
@@ -511,16 +502,11 @@ class GlpWorker {
     {
       TraceSpan sp(self_, Ev::kMatBuild, rows.size(), frame.ncols());
       CostScope cost;
-      // Multiline runs only when the vector sweep could dispatch (mirrors
-      // reduce_batch); build cost charged is dispatch-independent.
-      const bool want_runs = cfg_.gb.coeff.is_zp() && !cfg_.gb.matrix_force_scalar &&
-                             simd_level() != SimdLevel::kScalar;
-      mat = build_matrix(sys_.ctx, frame, rows, cfg_.gb.coeff, want_runs);
+      mat = build_matrix(sys_.ctx, frame, rows, cfg_.gb.coeff, matrix_wants_runs(cfg_.gb.coeff));
       out_->stats.work_units += cost.elapsed();
     }
     EchelonOptions eopts;
     eopts.coeff = cfg_.gb.coeff;
-    eopts.force_scalar = cfg_.gb.matrix_force_scalar;
     // Parallel elimination inside the task: the configured lane count,
     // clamped by what this machine grants each processor (SimMachine grants
     // freely and stays deterministic via makespan charging; Thread/Socket
@@ -1009,6 +995,12 @@ ParallelResult run_on_machine(Machine& machine, bool sim, const PolySystem& sys,
   // The hybrid store only speaks the per-id protocol (make_store).
   GBD_CHECK_MSG(cfg.basis_mode != BasisMode::kHybrid || !cfg.wire.any(),
                 "wire batching is not supported by the hybrid basis store");
+  // GbConfig fields GL-P has no path for: reject rather than ignore.
+  GBD_CHECK_MSG(cfg.gb.selection != Selection::kSugar,
+                "GL-P does not support sugar selection (pair sugar is not sent over the wire)");
+  GBD_CHECK_MSG(!cfg.gb.tail_reduce, "GL-P does not support tail_reduce");
+  GBD_CHECK_MSG(!cfg.gb.interreduce_input, "GL-P does not support interreduce_input");
+  GBD_CHECK_MSG(cfg.gb.stop == nullptr, "GL-P runs to completion and does not support stop");
 
   // Canonical inputs, preloaded identically everywhere with owner-0 ids.
   std::vector<std::pair<PolyId, Polynomial>> inputs;
@@ -1067,26 +1059,12 @@ ParallelResult run_on_machine(Machine& machine, bool sim, const PolySystem& sys,
     for (auto& [id, poly] : out.added) res.basis_ids.emplace_back(id, std::move(poly));
     res.per_proc.push_back(out.stats);
     res.stats.merge(out.stats);
-    res.compute_units += out.stats.work_units;
+    res.wire.merge(out.basis);
     res.trace.procs.push_back(std::move(out.trace));
-    res.wire.invalidations_sent += out.basis.invalidations_sent;
-    res.wire.fetches_sent += out.basis.fetches_sent;
-    res.wire.bodies_received += out.basis.bodies_received;
-    res.wire.bodies_served += out.basis.bodies_served;
-    res.wire.bodies_forwarded += out.basis.bodies_forwarded;
-    res.wire.evictions += out.basis.evictions;
-    res.wire.invalidation_batches += out.basis.invalidation_batches;
-    res.wire.fetch_batches += out.basis.fetch_batches;
-    res.wire.body_batches += out.basis.body_batches;
   }
   std::sort(res.basis_ids.begin(), res.basis_ids.end(),
             [](const auto& x, const auto& y) { return x.first < y.first; });
   for (const auto& [id, poly] : res.basis_ids) res.basis.push_back(poly);
-
-  for (std::size_t p = 0; p < res.machine.per_proc.size(); ++p) {
-    res.stats.messages_sent += res.machine.per_proc[p].messages_sent;
-    res.stats.bytes_sent += res.machine.per_proc[p].bytes_sent;
-  }
   res.elapsed_units = res.machine.makespan;
   return res;
 }

@@ -103,16 +103,14 @@ struct ParallelConfig {
 struct ParallelResult : GbResult {
   /// Final basis with identities (inputs + added), sorted by id.
   std::vector<std::pair<PolyId, Polynomial>> basis_ids;
-  /// Virtual makespan and per-processor machine counters.
+  /// Virtual makespan and per-processor machine counters (the owner of
+  /// messages and bytes: machine.total(&ProcCommStats::messages_sent)).
   SimStats machine;
+  /// Per-processor algebra counters; `stats` is their GbStats::merge.
   std::vector<GbStats> per_proc;
-  /// Basis-protocol traffic summed over processors (logical ids + the
-  /// PR-3 batched-envelope counters; max_resident is meaningless summed and
-  /// is left per-store).
+  /// Basis-protocol traffic merged over processors (BasisStats::merge):
+  /// logical ids and batched envelopes summed, max_resident the run's peak.
   BasisStats wire;
-  /// Total algebra work (spoly + reduction + criteria) across processors —
-  /// the replay baseline approximates this.
-  std::uint64_t compute_units = 0;
   RunTrace trace;
   /// Invariant violations observed by the monitor (empty when
   /// check_invariants was off or every check held on every sweep).

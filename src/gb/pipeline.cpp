@@ -48,8 +48,7 @@ double PipelineResult::achieved_parallelism() const {
 
 PipelineResult groebner_pipeline(const PolySystem& sys, const PipelineConfig& cfg) {
   GBD_CHECK(cfg.nstages >= 1 && cfg.inflight >= 1);
-  GBD_CHECK_MSG(!cfg.gb.coeff.is_zp(),
-                "groebner_pipeline is exact-only; use the sequential or GL-P engines for Zp");
+  check_baseline_config(cfg.gb);
   PipelineResult res;
   const PolyContext& ctx = sys.ctx;
   const GbConfig& gb = cfg.gb;
@@ -107,9 +106,6 @@ PipelineResult groebner_pipeline(const PolySystem& sys, const PipelineConfig& cf
   auto hop_cost = [&](const Polynomial& h) {
     res.token_hops += 1;
     res.ring_bytes += h.wire_size();
-    res.stats.messages_sent += 1;
-    res.stats.bytes_sent += h.wire_size();
-    res.stats.polys_transferred += 1;
     return cfg.cost.wire_time(h.wire_size()) + cfg.cost.inject + cfg.cost.dispatch;
   };
 
@@ -248,7 +244,6 @@ PipelineResult groebner_pipeline(const PolySystem& sys, const PipelineConfig& cf
           res.stats.pairs_pruned_chain += gm.m_rule + gm.f_rule;
         }
         res.ring_bytes += tok.h.wire_size();  // body travels to its new owner
-        res.stats.bytes_sent += tok.h.wire_size();
         std::size_t idx = install(std::move(tok.h));
         res.stats.basis_added += 1;
         done.mark(tok.pi, tok.pj);

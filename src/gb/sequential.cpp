@@ -192,7 +192,6 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
       EchelonOptions eopts;
       eopts.coeff = cfg.coeff;
       eopts.nthreads = cfg.matrix_threads;
-      eopts.force_scalar = cfg.matrix_force_scalar;
       const std::uint64_t axpys_before = matrix_kernel_stats().axpys;
       EchelonOutput eo = reduce_batch(ctx, rows, reducer_set, eopts, &matrix_table);
       res.stats.reduction_steps += matrix_kernel_stats().axpys - axpys_before;

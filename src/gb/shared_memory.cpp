@@ -28,8 +28,7 @@ struct Worker {
 
 SharedMemoryResult groebner_shared(const PolySystem& sys, const SharedMemoryConfig& cfg) {
   GBD_CHECK(cfg.nprocs >= 1);
-  GBD_CHECK_MSG(!cfg.gb.coeff.is_zp(),
-                "groebner_shared is exact-only; use the sequential or GL-P engines for Zp");
+  check_baseline_config(cfg.gb);
   SharedMemoryResult res;
   const PolyContext& ctx = sys.ctx;
   const GbConfig& gb = cfg.gb;
@@ -199,7 +198,6 @@ SharedMemoryResult groebner_shared(const PolySystem& sys, const SharedMemoryConf
     res.makespan = std::max(res.makespan, w.clock);
   }
   res.elapsed_units = res.makespan;
-  res.stats.lock_wait_units = res.lock_wait;
   return res;
 }
 

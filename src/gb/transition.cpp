@@ -21,8 +21,7 @@ struct Action {
 }  // namespace
 
 TransitionResult groebner_transition(const PolySystem& sys, const TransitionConfig& cfg) {
-  GBD_CHECK_MSG(!cfg.gb.coeff.is_zp(),
-                "groebner_transition is exact-only; use the sequential or GL-P engines for Zp");
+  check_baseline_config(cfg.gb);
   TransitionResult res;
   const PolyContext& ctx = sys.ctx;
   const GbConfig& gb = cfg.gb;

@@ -172,6 +172,14 @@ struct MachineStats {
   /// has_mailbox_stats, so downstream consumers see one shape.
   std::vector<MailboxStats> mailbox;
   bool has_mailbox_stats = false;
+
+  /// One per-processor counter summed over processors, e.g.
+  /// total(&ProcCommStats::messages_sent).
+  std::uint64_t total(std::uint64_t ProcCommStats::*counter) const {
+    std::uint64_t sum = 0;
+    for (const ProcCommStats& pc : per_proc) sum += pc.*counter;
+    return sum;
+  }
 };
 
 /// A P-processor machine executing one worker function per processor.

@@ -8,7 +8,7 @@ namespace gbd {
 
 namespace {
 
-constexpr std::uint8_t kContribVersion = 1;
+constexpr std::uint8_t kContribVersion = 2;
 
 void write_gb_stats(Writer& w, const GbStats& s) {
   w.u64(s.pairs_created);
@@ -20,13 +20,6 @@ void write_gb_stats(Writer& w, const GbStats& s) {
   w.u64(s.reduction_steps);
   w.u64(s.max_step_cost);
   w.u64(s.work_units);
-  w.u64(s.messages_sent);
-  w.u64(s.bytes_sent);
-  w.u64(s.polys_transferred);
-  w.u64(s.lock_wait_units);
-  w.u64(s.idle_units);
-  w.u64(s.termination_units);
-  w.u64(s.peak_resident_bodies);
 }
 
 GbStats read_gb_stats(Reader& r) {
@@ -40,13 +33,6 @@ GbStats read_gb_stats(Reader& r) {
   s.reduction_steps = r.u64();
   s.max_step_cost = r.u64();
   s.work_units = r.u64();
-  s.messages_sent = r.u64();
-  s.bytes_sent = r.u64();
-  s.polys_transferred = r.u64();
-  s.lock_wait_units = r.u64();
-  s.idle_units = r.u64();
-  s.termination_units = r.u64();
-  s.peak_resident_bodies = r.u64();
   return s;
 }
 
@@ -113,17 +99,7 @@ void merge_rank_contribution(ParallelResult* total, const std::vector<std::uint8
   GbStats stats = read_gb_stats(r);
   total->per_proc[rank] = stats;
   total->stats.merge(stats);
-  total->compute_units += stats.work_units;
-  BasisStats wire = read_basis_stats(r);
-  total->wire.invalidations_sent += wire.invalidations_sent;
-  total->wire.fetches_sent += wire.fetches_sent;
-  total->wire.bodies_received += wire.bodies_received;
-  total->wire.bodies_served += wire.bodies_served;
-  total->wire.bodies_forwarded += wire.bodies_forwarded;
-  total->wire.evictions += wire.evictions;
-  total->wire.invalidation_batches += wire.invalidation_batches;
-  total->wire.fetch_batches += wire.fetch_batches;
-  total->wire.body_batches += wire.body_batches;
+  total->wire.merge(read_basis_stats(r));
   total->invariant_sweeps += r.u64();
   std::uint32_t nviol = r.u32();
   for (std::uint32_t i = 0; i < nviol; ++i) total->violations.push_back(r.str());

@@ -5,12 +5,14 @@
 // ParallelResult is partial: the local rank's added polynomials, engine
 // stats and violations, plus (at rank 0, via the exit handshake) the full
 // per-rank machine comm stats. groebner_parallel_socket closes the gap with
-// one post-run gather round: every rank serializes its contribution — engine
-// GbStats, basis wire counters, invariant findings, and the polynomials it
+// one post-run gather round: every rank serializes its contribution — its
+// algebra GbStats, its BasisStats, invariant findings, and the polynomials it
 // added (id + body; inputs are preloaded everywhere and excluded) — and
 // rank 0 merges the blobs into the same full ParallelResult a single-process
-// run would produce: union basis sorted by id, per-rank GbStats, summed
-// wire/engine totals.
+// run would produce: union basis sorted by id, per-rank GbStats, merged
+// algebra and basis totals (max_resident as a max). Format version 2 carries
+// only the counters each blob's owner keeps (DESIGN.md §22); a blob of any
+// other version aborts the merge.
 //
 // Non-root ranks return their local partial result (is_root() tells the
 // caller whose result is authoritative). cfg.record_trace is not supported

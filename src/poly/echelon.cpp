@@ -339,9 +339,9 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
 
   // Dispatch, resolved once per matrix: the vector sweep needs the multiline
   // pivot layout (only built for delayed-reduction-safe primes) and an
-  // actual vector unit; force_scalar / GBD_DISABLE_SIMD pin the oracle.
+  // actual vector unit; GBD_DISABLE_SIMD pins the oracle.
   SimdLevel level = SimdLevel::kScalar;
-  if (zp && mat.has_runs && !opts.force_scalar) level = simd_level();
+  if (zp && mat.has_runs) level = simd_level();
   const bool use_simd = level != SimdLevel::kScalar;
 
   // Stage 1: per-row pivot sweep, parallel across rows. Each worker owns its
@@ -463,11 +463,8 @@ EchelonOutput run_batch(const PolyContext& ctx, const std::vector<Polynomial>& r
                         const ReducerSet& reducers, const EchelonOptions& opts,
                         SymbolicTable* table, bool keep_heads) {
   SymbolicFrame frame = symbolic_preprocess(ctx, rows, reducers, table);
-  // Only lay out multiline runs when the vector sweep could actually run, so
-  // scalar-pinned configurations don't pay (or get charged) the extra build.
-  const bool want_runs =
-      opts.coeff.is_zp() && !opts.force_scalar && simd_level() != SimdLevel::kScalar;
-  MacaulayMatrix mat = build_matrix(ctx, frame, rows, opts.coeff, want_runs);
+  MacaulayMatrix mat =
+      build_matrix(ctx, frame, rows, opts.coeff, matrix_wants_runs(opts.coeff));
   return echelon(ctx, frame, mat, opts, keep_heads);
 }
 

@@ -15,7 +15,7 @@
 //     poly/simd.hpp — accumulator lanes stay merely *congruent* mod p and
 //     are canonicalized once per cell as its column is finalized. Dispatch
 //     never changes results or charged cost units (the scalar kernel is the
-//     differential oracle, selectable via force_scalar / GBD_DISABLE_SIMD).
+//     differential oracle, selectable via GBD_DISABLE_SIMD).
 //   · exact: the row runs through the same geobucket accumulator as
 //     reduce_full, but reducer *lookup* is a frame-indexed array load instead
 //     of a divmask scan — the choice was fixed by symbolic preprocessing.
@@ -53,12 +53,6 @@ struct EchelonOptions {
   /// identical for any thread count; the caller's cost counter is charged
   /// the *maximum* per-thread work, modeling parallel makespan.
   std::size_t nthreads = 1;
-  /// Force the scalar Montgomery sweep even when the vector kernel is
-  /// available (poly/simd.hpp). The two produce bit-identical rows and
-  /// charge identical cost units; this pins dispatch for differential tests
-  /// and benchmarks. The GBD_DISABLE_SIMD env var has the same effect
-  /// process-wide.
-  bool force_scalar = false;
 };
 
 struct EchelonOutput {

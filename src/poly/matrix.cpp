@@ -1,5 +1,6 @@
 #include "poly/matrix.hpp"
 
+#include "poly/simd.hpp"
 #include "support/check.hpp"
 #include "support/cost.hpp"
 
@@ -68,6 +69,10 @@ MacaulayMatrix build_matrix(const PolyContext& ctx, const SymbolicFrame& frame,
   CostCounter::charge(cells);
   (void)ctx;
   return mat;
+}
+
+bool matrix_wants_runs(const CoeffOptions& coeff) {
+  return coeff.is_zp() && simd_level() != SimdLevel::kScalar;
 }
 
 Polynomial row_to_poly(const PolyContext& ctx, const SymbolicFrame& frame, const MatrixRow& row) {

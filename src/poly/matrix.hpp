@@ -96,6 +96,12 @@ MacaulayMatrix build_matrix(const PolyContext& ctx, const SymbolicFrame& frame,
                             const std::vector<Polynomial>& rows, const CoeffOptions& coeff,
                             bool build_runs = false);
 
+/// The `build_runs` every engine passes: lay out multiline runs only when
+/// the Zp sweep could dispatch to the vector kernel (poly/simd.hpp), so a
+/// scalar run (no AVX2, or GBD_DISABLE_SIMD) neither pays for nor is charged
+/// the extra build.
+bool matrix_wants_runs(const CoeffOptions& coeff);
+
 /// Convert a row back to a polynomial over the frame (no normalization).
 Polynomial row_to_poly(const PolyContext& ctx, const SymbolicFrame& frame, const MatrixRow& row);
 

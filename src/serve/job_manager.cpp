@@ -5,10 +5,10 @@ namespace gbd {
 bool JobManager::submit(JobPtr job) {
   std::lock_guard<std::mutex> lock(mu_);
   if (shutdown_ || queued_ >= capacity_) {
-    ++stats_.rejected;
+    ++counts_.rejected;
     return false;
   }
-  ++stats_.submitted;
+  ++counts_.submitted;
   queue_[job->req.priority].push_back(std::move(job));
   ++queued_;
   cv_.notify_one();
@@ -35,7 +35,7 @@ JobPtr JobManager::pop_locked() {
 void JobManager::requeue(JobPtr job) {
   std::lock_guard<std::mutex> lock(mu_);
   running_.erase(job->id);
-  ++stats_.requeues;
+  ++counts_.requeues;
   if (shutdown_) return;
   // Front of its level: a worker crash must not cost the job its turn.
   queue_[job->req.priority].push_front(std::move(job));
@@ -47,15 +47,15 @@ void JobManager::finish(const JobPtr& job, JobState final_state, std::uint64_t n
   std::lock_guard<std::mutex> lock(mu_);
   running_.erase(job->id);
   switch (final_state) {
-    case JobState::kDone: ++stats_.done; break;
-    case JobState::kFailed: ++stats_.failed; break;
-    case JobState::kCancelled: ++stats_.cancelled; break;
-    case JobState::kTimedOut: ++stats_.timed_out; break;
+    case JobState::kDone: ++counts_.done; break;
+    case JobState::kFailed: ++counts_.failed; break;
+    case JobState::kCancelled: ++counts_.cancelled; break;
+    case JobState::kTimedOut: ++counts_.timed_out; break;
     default: break;
   }
   std::uint64_t started = job->start_ms != 0 ? job->start_ms : now_ms;
-  stats_.queue_wait_ms.record(started - job->submit_ms);
-  stats_.exec_ms.record(now_ms >= started ? now_ms - started : 0);
+  queue_wait_ms_.record(started - job->submit_ms);
+  exec_ms_.record(now_ms >= started ? now_ms - started : 0);
 }
 
 JobPtr JobManager::take_queued(std::uint64_t conn_id, std::uint64_t token) {
@@ -130,12 +130,16 @@ std::size_t JobManager::depth() const {
   return queued_;
 }
 
-ServeStats JobManager::stats() const {
+ServerStatsMsg JobManager::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  ServeStats s = stats_;
-  s.queue_depth = queued_;
-  s.running = running_.size();
-  return s;
+  ServerStatsMsg m = counts_;
+  m.queue_depth = queued_;
+  m.running = running_.size();
+  m.wait_p50_ms = queue_wait_ms_.quantile(0.5);
+  m.wait_p99_ms = queue_wait_ms_.quantile(0.99);
+  m.exec_p50_ms = exec_ms_.quantile(0.5);
+  m.exec_p99_ms = exec_ms_.quantile(0.99);
+  return m;
 }
 
 }  // namespace gbd

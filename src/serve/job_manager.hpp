@@ -68,21 +68,6 @@ struct Job {
 
 using JobPtr = std::shared_ptr<Job>;
 
-/// Counters + latency histograms, snapshot via JobManager::stats().
-struct ServeStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t done = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t requeues = 0;
-  std::uint64_t queue_depth = 0;
-  std::uint64_t running = 0;
-  LogHistogram queue_wait_ms;  ///< admission -> first execution start
-  LogHistogram exec_ms;        ///< final attempt start -> terminal
-};
-
 class JobManager {
  public:
   JobManager(std::size_t capacity, bool start_paused)
@@ -125,7 +110,10 @@ class JobManager {
   void shutdown();
 
   std::size_t depth() const;
-  ServeStats stats() const;
+  /// The job-lifecycle fields of the server's stats message — counters,
+  /// queue depth, running count and wait/exec quantiles — read under the
+  /// lock. The server fills in the cache, pool and early-reject fields.
+  ServerStatsMsg stats() const;
 
  private:
   JobPtr pop_locked();
@@ -139,7 +127,10 @@ class JobManager {
   std::map<std::uint32_t, std::deque<JobPtr>, std::greater<std::uint32_t>> queue_;
   std::size_t queued_ = 0;
   std::unordered_map<std::uint64_t, JobPtr> running_;  ///< by job id
-  ServeStats stats_;
+  /// The job counters live in their wire message (submitted .. requeues).
+  ServerStatsMsg counts_;
+  LogHistogram queue_wait_ms_;  ///< admission -> first execution start
+  LogHistogram exec_ms_;        ///< final attempt start -> terminal
 };
 
 }  // namespace gbd

@@ -608,26 +608,13 @@ struct JobServer::Impl {
   // ---- stats --------------------------------------------------------------
 
   ServerStatsMsg stats_msg() const {
-    ServeStats s = jm.stats();
+    ServerStatsMsg m = jm.stats();
+    m.rejected += early_rejects.load();
     CacheStats cs = cache.stats();
-    ServerStatsMsg m;
-    m.submitted = s.submitted;
-    m.rejected = s.rejected + early_rejects.load();
-    m.done = s.done;
-    m.failed = s.failed;
-    m.cancelled = s.cancelled;
-    m.timed_out = s.timed_out;
-    m.requeues = s.requeues;
-    m.queue_depth = s.queue_depth;
-    m.running = s.running;
     m.cache_hits = cs.hits;
     m.cache_misses = cs.misses;
     m.cache_entries = cs.entries;
     m.cache_evictions = cs.evictions;
-    m.wait_p50_ms = s.queue_wait_ms.quantile(0.5);
-    m.wait_p99_ms = s.queue_wait_ms.quantile(0.99);
-    m.exec_p50_ms = s.exec_ms.quantile(0.5);
-    m.exec_p99_ms = s.exec_ms.quantile(0.99);
     m.workers = cfg.workers;
     m.backend = cfg.backend;
     m.paused = paused.load();

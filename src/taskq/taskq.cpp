@@ -7,8 +7,8 @@ namespace gbd {
 
 bool DistTaskQueue::ItemBefore::operator()(const Item& a, const Item& b) const {
   switch (q->cfg_.selection) {
-    case Selection::kSugar:  // sugar is not propagated over the wire:
-    case Selection::kNormal: {  // order by the priority monomial instead
+    case Selection::kSugar:  // GL-P rejects it: pair sugar is not sent over the wire
+    case Selection::kNormal: {
       int c = q->ctx_->cmp(a.priority, b.priority);
       if (c != 0) return c < 0;  // smaller lcm first (better heuristic merit)
       break;

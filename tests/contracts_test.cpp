@@ -3,9 +3,14 @@
 // fast and loudly instead of corrupting algebra.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "bigint/bigint.hpp"
 #include "bigint/rational.hpp"
 #include "gb/parallel.hpp"
+#include "gb/pipeline.hpp"
+#include "gb/shared_memory.hpp"
+#include "gb/transition.hpp"
 #include "io/parse.hpp"
 #include "poly/reduce.hpp"
 #include "poly/spoly.hpp"
@@ -104,6 +109,57 @@ TEST(ContractsDeathTest, HybridStoreRejectsWireBatching) {
     cfg.wire.batch_fetches = fetches;
     EXPECT_DEATH({ auto r = groebner_parallel(sys, cfg); (void)r; },
                  "not supported by the hybrid basis store");
+  }
+}
+
+/// One GbConfig misuse and the abort message it must produce.
+struct ConfigCase {
+  void (*set)(GbConfig*);
+  const char* message;
+};
+
+TEST(ContractsDeathTest, GlpRejectsConfigItHasNoPathFor) {
+  // GL-P has no sugar on the wire, no tail or input interreduction and no
+  // stop seam: each such field aborts instead of being silently ignored.
+  static const std::atomic<bool> stop{false};
+  const ConfigCase cases[] = {
+      {[](GbConfig* g) { g->selection = Selection::kSugar; }, "does not support sugar selection"},
+      {[](GbConfig* g) { g->tail_reduce = true; }, "does not support tail_reduce"},
+      {[](GbConfig* g) { g->interreduce_input = true; }, "does not support interreduce_input"},
+      {[](GbConfig* g) { g->stop = &stop; }, "does not support stop"},
+  };
+  PolySystem sys = load_problem("arnborg4");
+  for (const ConfigCase& c : cases) {
+    ParallelConfig cfg;
+    cfg.nprocs = 2;
+    c.set(&cfg.gb);
+    EXPECT_DEATH({ auto r = groebner_parallel(sys, cfg); (void)r; }, c.message);
+  }
+}
+
+TEST(ContractsDeathTest, BaselineEnginesRejectConfigTheyHaveNoPathFor) {
+  // The transition, shared-memory and pipeline engines are exact, per-poly
+  // and head-reducing, their pairs carry no sugar, and they cannot stop.
+  static const std::atomic<bool> stop{false};
+  const ConfigCase cases[] = {
+      {[](GbConfig* g) { g->coeff = CoeffOptions::zp(32003); }, "exact-only"},
+      {[](GbConfig* g) { g->matrix_reduce = true; }, "does not support matrix_reduce"},
+      {[](GbConfig* g) { g->tail_reduce = true; }, "does not support tail_reduce"},
+      {[](GbConfig* g) { g->interreduce_input = true; }, "does not support interreduce_input"},
+      {[](GbConfig* g) { g->selection = Selection::kSugar; }, "does not support sugar selection"},
+      {[](GbConfig* g) { g->stop = &stop; }, "does not support stop"},
+  };
+  PolySystem sys = load_problem("arnborg4");
+  for (const ConfigCase& c : cases) {
+    TransitionConfig tc;
+    c.set(&tc.gb);
+    EXPECT_DEATH({ auto r = groebner_transition(sys, tc); (void)r; }, c.message);
+    SharedMemoryConfig sc;
+    c.set(&sc.gb);
+    EXPECT_DEATH({ auto r = groebner_shared(sys, sc); (void)r; }, c.message);
+    PipelineConfig pc;
+    c.set(&pc.gb);
+    EXPECT_DEATH({ auto r = groebner_pipeline(sys, pc); (void)r; }, c.message);
   }
 }
 

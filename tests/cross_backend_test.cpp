@@ -95,14 +95,14 @@ TEST(CrossBackendTest, ThreadMachineSurfacesMailboxStats) {
   cfg.nprocs = 4;
   ParallelResult res = groebner_parallel_threads(sys, cfg);
   ASSERT_EQ(res.machine.mailbox.size(), 4u);
-  std::uint64_t enqueues = 0, drained = 0, sent = 0;
+  std::uint64_t enqueues = 0, drained = 0;
   for (const MailboxStats& mb : res.machine.mailbox) {
     enqueues += mb.enqueues;
     drained += mb.drained_messages;
     EXPECT_GE(mb.enqueues, mb.notifies);
     EXPECT_GE(mb.drained_messages, mb.max_drain_batch);
   }
-  for (const ProcCommStats& pc : res.machine.per_proc) sent += pc.messages_sent;
+  const std::uint64_t sent = res.machine.total(&ProcCommStats::messages_sent);
   // Every sent message was enqueued in some mailbox. Drains may fall a few
   // short of enqueues: GL-P workers exit on the task-queue termination
   // announcement, so a last ack or steal reply addressed to an
@@ -159,13 +159,8 @@ SocketRunResult run_socket_backend(const PolySystem& sys, int nprocs, int base_p
       Writer w;
       w.u32(static_cast<std::uint32_t>(res.basis.size()));
       for (const Polynomial& p : res.basis) p.write(w);
-      std::uint64_t sent = 0, received = 0;
-      for (const ProcCommStats& pc : res.machine.per_proc) {
-        sent += pc.messages_sent;
-        received += pc.messages_received;
-      }
-      w.u64(sent);
-      w.u64(received);
+      w.u64(res.machine.total(&ProcCommStats::messages_sent));
+      w.u64(res.machine.total(&ProcCommStats::messages_received));
       std::vector<std::uint8_t> bytes = w.take();
       std::ofstream out(path, std::ios::binary);
       out.write(reinterpret_cast<const char*>(bytes.data()),

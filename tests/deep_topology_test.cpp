@@ -87,7 +87,7 @@ TEST(DeepTopologyTest, HybridAt16WithTinyCache) {
     EXPECT_TRUE(red[i].equals(ref[i])) << i;
   }
   // The memory bound really bit: no processor held the whole basis.
-  EXPECT_LT(res.stats.peak_resident_bodies, res.basis.size());
+  EXPECT_LT(res.wire.max_resident, res.basis.size());
 }
 
 TEST(DeepTopologyTest, VirtualTimeMonotoneAlongMessageChains) {

@@ -80,25 +80,28 @@ TEST(GbStatsTest, MergeSumsAndMaxes) {
   GbStats a, b;
   a.pairs_created = 10;
   a.max_step_cost = 100;
-  a.peak_resident_bodies = 7;
   a.reduction_steps = 3;
   b.pairs_created = 5;
   b.max_step_cost = 200;
-  b.peak_resident_bodies = 4;
   b.reduction_steps = 9;
   a.merge(b);
   EXPECT_EQ(a.pairs_created, 15u);
   EXPECT_EQ(a.reduction_steps, 12u);
-  EXPECT_EQ(a.max_step_cost, 200u);       // max, not sum
-  EXPECT_EQ(a.peak_resident_bodies, 7u);  // max, not sum
+  EXPECT_EQ(a.max_step_cost, 200u);  // max, not sum
 }
 
-TEST(GbStatsTest, SummaryMentionsCommOnlyWhenPresent) {
-  GbStats s;
-  s.pairs_created = 3;
-  EXPECT_EQ(s.summary().find("msgs="), std::string::npos);
-  s.messages_sent = 12;
-  EXPECT_NE(s.summary().find("msgs=12"), std::string::npos);
+TEST(BasisStatsTest, MergeSumsTrafficAndMaxesResidency) {
+  BasisStats a, b;
+  a.bodies_received = 4;
+  a.max_resident = 7;
+  a.body_batches = 1;
+  b.bodies_received = 6;
+  b.max_resident = 5;
+  b.body_batches = 2;
+  a.merge(b);
+  EXPECT_EQ(a.bodies_received, 10u);
+  EXPECT_EQ(a.body_batches, 3u);
+  EXPECT_EQ(a.max_resident, 7u);  // high-water mark: max, not sum
 }
 
 TEST(ConfigCornersTest, TwoProcsReservedCoordinatorStillWorks) {

@@ -11,6 +11,7 @@
 #include "gb/sequential.hpp"
 #include "gb/verify.hpp"
 #include "machine/sim_machine.hpp"
+#include "obs/metrics.hpp"
 #include "poly/reduce.hpp"
 #include "problems/problems.hpp"
 #include "basis_helpers.hpp"
@@ -194,18 +195,24 @@ TEST(HybridEngineTest, MemoryBoundHolds) {
   cfg.basis_mode = BasisMode::kHybrid;
   cfg.hybrid_homes = 1;
   cfg.hybrid_cache_capacity = 6;
+  MetricsRegistry reg(cfg.nprocs);
+  cfg.metrics = &reg;
   ParallelResult res = groebner_parallel(sys, cfg);
+  const MetricsSnapshot snap = reg.snapshot();
+  const std::vector<std::uint64_t>* resident = snap.find("basis.max_resident");
+  ASSERT_NE(resident, nullptr);
   for (int p = 0; p < cfg.nprocs; ++p) {
     const GbStats& s = res.per_proc[static_cast<std::size_t>(p)];
-    EXPECT_LE(s.peak_resident_bodies, sys.polys.size() + s.basis_added + 6) << "proc " << p;
+    EXPECT_LE((*resident)[static_cast<std::size_t>(p)], sys.polys.size() + s.basis_added + 6)
+        << "proc " << p;
   }
   // Replicated peaks at the whole basis on some processor, strictly more
   // than the hybrid bound when anything was added remotely.
   ParallelConfig full;
   full.nprocs = 4;
   ParallelResult rep = groebner_parallel(sys, full);
-  EXPECT_EQ(rep.stats.peak_resident_bodies, rep.basis.size());
-  EXPECT_LT(res.stats.peak_resident_bodies, rep.stats.peak_resident_bodies);
+  EXPECT_EQ(rep.wire.max_resident, rep.basis.size());
+  EXPECT_LT(res.wire.max_resident, rep.wire.max_resident);
 }
 
 TEST(HybridEngineTest, TradeoffDirection) {
@@ -221,8 +228,8 @@ TEST(HybridEngineTest, TradeoffDirection) {
   };
   ParallelResult replicated = run(BasisMode::kReplicated, 0, 0);
   ParallelResult tight = run(BasisMode::kHybrid, 1, 4);
-  EXPECT_GT(tight.stats.polys_transferred, replicated.stats.polys_transferred);
-  EXPECT_LT(tight.stats.peak_resident_bodies, replicated.stats.peak_resident_bodies);
+  EXPECT_GT(tight.wire.bodies_received, replicated.wire.bodies_received);
+  EXPECT_LT(tight.wire.max_resident, replicated.wire.max_resident);
 }
 
 TEST(HybridEngineTest, DeterministicPerSeed) {
@@ -236,7 +243,7 @@ TEST(HybridEngineTest, DeterministicPerSeed) {
   ParallelResult a = groebner_parallel(sys, cfg);
   ParallelResult b = groebner_parallel(sys, cfg);
   EXPECT_EQ(a.machine.makespan, b.machine.makespan);
-  EXPECT_EQ(a.stats.polys_transferred, b.stats.polys_transferred);
+  EXPECT_EQ(a.wire.bodies_received, b.wire.bodies_received);
 }
 
 }  // namespace

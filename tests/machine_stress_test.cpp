@@ -257,12 +257,12 @@ TEST(ThreadStressTest, AllToAllStormQuiescesWithConservedCounters) {
     while (self.wait()) {
     }
   });
-  std::uint64_t enqueued = 0, drained = 0, sent = 0;
+  std::uint64_t enqueued = 0, drained = 0;
   for (const MailboxStats& mb : stats.mailbox) {
     enqueued += mb.enqueues;
     drained += mb.drained_messages;
   }
-  for (const ProcCommStats& pc : stats.per_proc) sent += pc.messages_sent;
+  const std::uint64_t sent = stats.total(&ProcCommStats::messages_sent);
   EXPECT_EQ(delivered.load(), sent);
   EXPECT_EQ(enqueued, sent);
   EXPECT_EQ(drained, sent);

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,7 @@
 #include "poly/spoly.hpp"
 #include "problems/problems.hpp"
 #include "oracles.hpp"
+#include "simd_env.hpp"
 #include "support/cost.hpp"
 #include "support/rng.hpp"
 
@@ -335,34 +337,6 @@ TEST(MatrixGlpTest, ChaosScheduleStaysCoherent) {
 
 // ——— PR-8: vectorized sweep, dispatch pinning, frame memo, kernel lanes ———
 
-/// Scoped override of the GBD_DISABLE_SIMD environment variable, restoring
-/// whatever was there (so the forced-scalar CI job's setting survives this
-/// binary's dispatch tests).
-class ScopedSimdEnv {
- public:
-  explicit ScopedSimdEnv(const char* value) {
-    const char* prev = std::getenv("GBD_DISABLE_SIMD");
-    had_ = prev != nullptr;
-    if (had_) saved_ = prev;
-    if (value == nullptr) {
-      unsetenv("GBD_DISABLE_SIMD");
-    } else {
-      setenv("GBD_DISABLE_SIMD", value, 1);
-    }
-  }
-  ~ScopedSimdEnv() {
-    if (had_) {
-      setenv("GBD_DISABLE_SIMD", saved_.c_str(), 1);
-    } else {
-      unsetenv("GBD_DISABLE_SIMD");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
 TEST(SimdDispatchTest, EnvVarForcesScalarAndBack) {
   {
     ScopedSimdEnv force("1");
@@ -439,12 +413,14 @@ TEST(SimdDifferentialTest, ForcedScalarAndAutoDispatchAgreeRowForRow) {
       VectorReducerSet set(&reducers);
       std::vector<Polynomial> rows = pair_spolys(sys.ctx, reducers, zp);
       if (rows.empty()) continue;
-      EchelonOptions auto_opts;
-      auto_opts.coeff = zp;
-      EchelonOptions scalar_opts = auto_opts;
-      scalar_opts.force_scalar = true;
-      EchelonOutput a = reduce_batch(sys.ctx, rows, set, auto_opts);
-      EchelonOutput b = reduce_batch(sys.ctx, rows, set, scalar_opts);
+      EchelonOptions opts;
+      opts.coeff = zp;
+      EchelonOutput a = reduce_batch(sys.ctx, rows, set, opts);
+      EchelonOutput b;
+      {
+        ScopedSimdEnv scalar("1");
+        b = reduce_batch(sys.ctx, rows, set, opts);
+      }
       std::string label = "seed " + std::to_string(seed) + " mod " + std::to_string(p);
       ASSERT_EQ(a.rows.size(), b.rows.size()) << label;
       EXPECT_EQ(a.src_zeroed, b.src_zeroed) << label;
@@ -459,16 +435,14 @@ TEST(SimdDifferentialTest, ForcedScalarAndAutoDispatchAgreeRowForRow) {
 TEST(MatrixSequentialTest, ForcedScalarMatchesAutoDispatchAndMemoEngages) {
   PolySystem sys = load_problem("katsura4");
   CoeffOptions zp = CoeffOptions::zp(kPrimes[0]);
-  GbConfig auto_cfg;
-  auto_cfg.coeff = zp;
-  auto_cfg.matrix_reduce = true;
-  GbConfig scalar_cfg = auto_cfg;
-  scalar_cfg.matrix_force_scalar = true;
+  GbConfig cfg;
+  cfg.coeff = zp;
+  cfg.matrix_reduce = true;
 
   const MatrixKernelStats& ks = matrix_kernel_stats();
   const std::uint64_t hits_before = ks.memo_hits;
   const std::uint64_t simd_before = ks.simd_rows;
-  SequentialResult a = groebner_sequential(sys, auto_cfg);
+  SequentialResult a = groebner_sequential(sys, cfg);
   // Adjacent-degree rounds share closure monomials: the frame memo must
   // actually fire, not just exist.
   EXPECT_GT(ks.memo_hits, hits_before);
@@ -477,7 +451,11 @@ TEST(MatrixSequentialTest, ForcedScalarMatchesAutoDispatchAndMemoEngages) {
   }
 
   const std::uint64_t scalar_rows_before = ks.scalar_rows;
-  SequentialResult b = groebner_sequential(sys, scalar_cfg);
+  SequentialResult b;
+  {
+    ScopedSimdEnv scalar("1");
+    b = groebner_sequential(sys, cfg);
+  }
   EXPECT_GT(ks.scalar_rows, scalar_rows_before);
 
   std::vector<Polynomial> ga = reduce_basis(sys.ctx, a.basis, zp);
@@ -586,16 +564,16 @@ TEST(MatrixStageTwoTest, ColumnSpaceMatchesPolynomialOracle) {
         std::vector<Polynomial> rows = pair_spolys(sys.ctx, gens, zp);
         if (rows.empty()) continue;
         for (bool force_scalar : {false, true}) {
+          std::optional<ScopedSimdEnv> scalar;
+          if (force_scalar) scalar.emplace("1");
           for (std::size_t threads : {1u, 3u}) {
             const std::string label = std::string(name) + " " + order_name(order) + " mod " +
                                       std::to_string(p) + (force_scalar ? " scalar" : " auto") +
                                       " threads " + std::to_string(threads);
             SymbolicFrame frame = symbolic_preprocess(sys.ctx, rows, set);
-            const bool runs = !force_scalar && simd_level() != SimdLevel::kScalar;
-            MacaulayMatrix mat = build_matrix(sys.ctx, frame, rows, zp, runs);
+            MacaulayMatrix mat = build_matrix(sys.ctx, frame, rows, zp, matrix_wants_runs(zp));
             EchelonOptions on;
             on.coeff = zp;
-            on.force_scalar = force_scalar;
             on.nthreads = threads;
             EchelonOptions off = on;
             off.interreduce = false;

@@ -190,12 +190,8 @@ int ring_body(int rank, int nprocs, int base_port, int laps) {
     }
   });
   if (rank != 0) return 0;
-  std::uint64_t sent = 0;
-  std::uint64_t received = 0;
-  for (const ProcCommStats& p : stats.per_proc) {
-    sent += p.messages_sent;
-    received += p.messages_received;
-  }
+  const std::uint64_t sent = stats.total(&ProcCommStats::messages_sent);
+  const std::uint64_t received = stats.total(&ProcCommStats::messages_received);
   if (sent != received) {
     std::fprintf(stderr, "conservation broken: sent=%llu received=%llu\n",
                  static_cast<unsigned long long>(sent),

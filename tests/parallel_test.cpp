@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gb/sequential.hpp"
 #include "gb/verify.hpp"
+#include "obs/metrics.hpp"
 #include "poly/reduce.hpp"
 #include "problems/problems.hpp"
 
@@ -64,8 +67,9 @@ TEST(ParallelTest, DeterministicOnSimulator) {
   ParallelResult a = groebner_parallel(sys, cfg);
   ParallelResult b = groebner_parallel(sys, cfg);
   EXPECT_EQ(a.machine.makespan, b.machine.makespan);
-  EXPECT_EQ(a.compute_units, b.compute_units);
-  EXPECT_EQ(a.stats.messages_sent, b.stats.messages_sent);
+  EXPECT_EQ(a.stats.work_units, b.stats.work_units);
+  EXPECT_EQ(a.machine.total(&ProcCommStats::messages_sent),
+            b.machine.total(&ProcCommStats::messages_sent));
   ASSERT_EQ(a.basis_ids.size(), b.basis_ids.size());
   for (std::size_t i = 0; i < a.basis_ids.size(); ++i) {
     EXPECT_EQ(a.basis_ids[i].first, b.basis_ids[i].first);
@@ -119,8 +123,8 @@ TEST(ParallelTest, TraceReplayReproducesRun) {
   // charged compute closely (replay adds small audit checks per step, the
   // engine adds the s-polynomial/step costs it scopes; neither includes
   // reducer searches).
-  EXPECT_LE(rep.work_units, res.compute_units + res.compute_units / 10);
-  EXPECT_GT(rep.work_units, res.compute_units / 2);
+  EXPECT_LE(rep.work_units, res.stats.work_units + res.stats.work_units / 10);
+  EXPECT_GT(rep.work_units, res.stats.work_units / 2);
 }
 
 TEST(ParallelTest, MessageAccountingLooksSane) {
@@ -128,13 +132,13 @@ TEST(ParallelTest, MessageAccountingLooksSane) {
   ParallelConfig cfg;
   cfg.nprocs = 4;
   ParallelResult res = groebner_parallel(sys, cfg);
-  EXPECT_GT(res.stats.messages_sent, 0u);
-  EXPECT_GT(res.stats.bytes_sent, 0u);
+  EXPECT_GT(res.machine.total(&ProcCommStats::messages_sent), 0u);
+  EXPECT_GT(res.machine.total(&ProcCommStats::bytes_sent), 0u);
   // Invalidations: every add broadcasts to P-1 others.
   EXPECT_GT(res.stats.basis_added, 0u);
   // Bodies moved only for polynomials that were actually needed remotely —
   // the paper's replication argument (communication ∝ additions, not zeros).
-  EXPECT_LE(res.stats.polys_transferred,
+  EXPECT_LE(res.wire.bodies_received,
             res.stats.basis_added * static_cast<std::uint64_t>(cfg.nprocs));
 }
 
@@ -151,7 +155,7 @@ TEST(ParallelTest, LockAndTerminationOverheadSmall) {
   // compared to body/invalidation traffic, which we proxy via counts.
   EXPECT_TRUE(is_groebner_basis(sys.ctx, res.basis));
   EXPECT_LT(res.stats.basis_added * 3 * static_cast<std::uint64_t>(cfg.nprocs),
-            res.stats.messages_sent * 2);
+            res.machine.total(&ProcCommStats::messages_sent) * 2);
 }
 
 TEST(ParallelTest, SingleProcessorNeedsNoCommunication) {
@@ -160,7 +164,48 @@ TEST(ParallelTest, SingleProcessorNeedsNoCommunication) {
   cfg.nprocs = 1;
   ParallelResult res = groebner_parallel(sys, cfg);
   EXPECT_TRUE(is_groebner_basis(sys.ctx, res.basis));
-  EXPECT_EQ(res.stats.polys_transferred, 0u);
+  EXPECT_EQ(res.wire.bodies_received, 0u);
+}
+
+// GbStats holds the nine algebra counters and nothing else; a tenth field
+// must be added to the field-by-field comparison below.
+static_assert(sizeof(GbStats) == 9 * sizeof(std::uint64_t));
+
+TEST(ParallelTest, EachCounterIsReadFromItsOwner) {
+  // res.stats is the merge of res.per_proc, field by field: it carries only
+  // algebra, so no counter can appear in the total without a per-processor
+  // source.
+  // res.wire.max_resident is the run's peak: the max of the per-processor
+  // basis.max_resident series.
+  PolySystem sys = load_problem("trinks2");
+  for (BasisMode mode : {BasisMode::kReplicated, BasisMode::kHybrid}) {
+    ParallelConfig cfg;
+    cfg.nprocs = 4;
+    cfg.basis_mode = mode;
+    MetricsRegistry reg(cfg.nprocs);
+    cfg.metrics = &reg;
+    ParallelResult res = groebner_parallel(sys, cfg);
+    GbStats merged;
+    for (const GbStats& s : res.per_proc) merged.merge(s);
+    EXPECT_EQ(res.stats.pairs_created, merged.pairs_created);
+    EXPECT_EQ(res.stats.pairs_pruned_coprime, merged.pairs_pruned_coprime);
+    EXPECT_EQ(res.stats.pairs_pruned_chain, merged.pairs_pruned_chain);
+    EXPECT_EQ(res.stats.spolys_computed, merged.spolys_computed);
+    EXPECT_EQ(res.stats.reductions_to_zero, merged.reductions_to_zero);
+    EXPECT_EQ(res.stats.basis_added, merged.basis_added);
+    EXPECT_EQ(res.stats.reduction_steps, merged.reduction_steps);
+    EXPECT_EQ(res.stats.max_step_cost, merged.max_step_cost);
+    EXPECT_EQ(res.stats.work_units, merged.work_units);
+
+    MetricsSnapshot snap = reg.snapshot();
+    const std::vector<std::uint64_t>* resident = snap.find("basis.max_resident");
+    ASSERT_NE(resident, nullptr);
+    EXPECT_EQ(res.wire.max_resident, *std::max_element(resident->begin(), resident->end()));
+    EXPECT_EQ(res.wire.bodies_received, snap.total("basis.bodies_received"));
+    EXPECT_EQ(res.machine.total(&ProcCommStats::messages_sent), snap.total("comm.messages_sent"));
+    EXPECT_EQ(snap.find("gb.idle_units"), nullptr);
+    EXPECT_EQ(snap.find("gb.peak_resident_bodies"), nullptr);
+  }
 }
 
 TEST(ParallelTest, RealThreadsComputeTheSameBasis) {

@@ -223,7 +223,8 @@ TEST(FuzzReplayTest, ReplayStringReproducesRunExactly) {
   ParallelResult b = run_chaos(Variant{}, 4, ChaosConfig::decode(chaos.encode()));
   EXPECT_EQ(a.machine.makespan, b.machine.makespan);
   EXPECT_EQ(a.machine.duplicated_messages, b.machine.duplicated_messages);
-  EXPECT_EQ(a.stats.messages_sent, b.stats.messages_sent);
+  EXPECT_EQ(a.machine.total(&ProcCommStats::messages_sent),
+            b.machine.total(&ProcCommStats::messages_sent));
   EXPECT_EQ(a.violations, b.violations);
   ASSERT_EQ(a.basis_ids.size(), b.basis_ids.size());
   for (std::size_t i = 0; i < a.basis_ids.size(); ++i) {

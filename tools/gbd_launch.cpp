@@ -453,7 +453,7 @@ int run_worker(const Options& opt) {
               static_cast<double>(res.machine.makespan) / 1e6);
   std::printf("messages=%llu  wire: frames=%llu retransmits=%llu dups_dropped=%llu "
               "chaos(drop/dup/delay)=%llu/%llu/%llu\n",
-              static_cast<unsigned long long>(res.stats.messages_sent),
+              static_cast<unsigned long long>(res.machine.total(&ProcCommStats::messages_sent)),
               static_cast<unsigned long long>(net.frames_sent),
               static_cast<unsigned long long>(net.retransmits),
               static_cast<unsigned long long>(net.dup_frames_dropped),

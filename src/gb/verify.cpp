@@ -1,6 +1,8 @@
 #include "gb/verify.hpp"
 
+#include "gb/pairs.hpp"
 #include "gb/sequential.hpp"
+#include "poly/echelon.hpp"
 #include "poly/reduce.hpp"
 #include "poly/spoly.hpp"
 
@@ -110,8 +112,19 @@ struct VerifyView {
   ReduceOptions ropts_;
 };
 
-bool is_groebner_basis_view(const PolyContext& ctx, const VerifyView& v, std::string* why,
-                            const CoeffOptions& coeff) {
+/// The certificate: every s-polynomial Buchberger's criteria leave, plus
+/// every input generator, reduced together as ONE Macaulay batch against
+/// the view's reducer set. `use` is certified iff every row is zeroed.
+///
+/// The pairs are the ones Buchberger's algorithm with the Gebauer–Möller
+/// update would reduce if `use` were its input: the elements are installed
+/// in list order and element r keeps the pairs (i, r), i < r, that
+/// gm_new_pairs keeps against elements 0..r−1. The old-pair deletion B_k is
+/// not applied, which only keeps more pairs. The chain criterion over
+/// DonePairs is deliberately not mixed in (DESIGN.md §23).
+bool certify_view(const PolyContext& ctx, const VerifyView& v,
+                  const std::vector<Polynomial>& inputs, std::string* why,
+                  const CoeffOptions& coeff) {
   const std::vector<Polynomial>& use = v.polys();
   // Reject zeros up front: spoly() has a nonzero precondition. (Over Zp an
   // exactly-nonzero element can vanish mod p — that still disqualifies the
@@ -122,24 +135,51 @@ bool is_groebner_basis_view(const PolyContext& ctx, const VerifyView& v, std::st
       return false;
     }
   }
-  for (std::size_t i = 0; i < use.size(); ++i) {
-    for (std::size_t j = i + 1; j < use.size(); ++j) {
-      // Buchberger's first criterion is a theorem, not a heuristic: coprime
-      // heads guarantee S(f,g) reduces to zero modulo {f,g} alone, so the
-      // certificate need not recompute it.
-      if (Monomial::coprime(use[i].hmono(), use[j].hmono())) continue;
-      Polynomial s = spoly(ctx, use[i], use[j], coeff);
-      ReduceOutcome out = reduce_full(ctx, std::move(s), v.set(), v.ropts());
-      if (!out.poly.is_zero()) {
-        if (why) {
-          *why = "SPOL(basis[" + std::to_string(i) + "], basis[" + std::to_string(j) +
-                 "]) does not reduce to zero; normal form " + out.poly.to_string(ctx);
-        }
-        return false;
-      }
+  // Row k is the s-polynomial of pairs[k] for k < pairs.size(), else the
+  // input generator input_of[k − pairs.size()].
+  std::vector<Polynomial> rows;
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  std::vector<std::size_t> input_of;
+  std::vector<Monomial> heads;
+  heads.reserve(use.size());
+  for (std::size_t r = 0; r < use.size(); ++r) {
+    for (std::size_t i : gm_new_pairs(ctx, heads, use[r].hmono())) {
+      // spoly returns the canonical (primitive / monic) form reduce_batch wants.
+      Polynomial s = spoly(ctx, use[i], use[r], coeff);
+      if (s.is_zero()) continue;
+      rows.push_back(std::move(s));
+      pairs.emplace_back(i, r);
+    }
+    heads.push_back(use[r].hmono());
+  }
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    Polynomial g = inputs[k];
+    coeff_normalize(ctx, &g, coeff);
+    if (g.is_zero()) continue;
+    rows.push_back(std::move(g));
+    input_of.push_back(k);
+  }
+  if (rows.empty()) return true;
+
+  EchelonOptions eopts;
+  eopts.coeff = coeff;
+  eopts.interreduce = false;
+  EchelonOutput eo = reduce_batch(ctx, rows, v.set(), eopts);
+  if (eo.rows.empty()) return true;
+  if (why) {
+    // Surviving rows come in src order, so a failing pair is reported before
+    // a failing input generator.
+    const EchelonOutput::NewRow& bad = eo.rows.front();
+    if (bad.src < pairs.size()) {
+      *why = "SPOL(basis[" + std::to_string(pairs[bad.src].first) + "], basis[" +
+             std::to_string(pairs[bad.src].second) + "]) does not reduce to zero; normal form " +
+             bad.poly.to_string(ctx);
+    } else {
+      *why = "input generator " + std::to_string(input_of[bad.src - pairs.size()]) +
+             " not in the output ideal";
     }
   }
-  return true;
+  return false;
 }
 
 bool ideal_contains_view(const PolyContext& ctx, const VerifyView& v, const Polynomial& p) {
@@ -151,7 +191,7 @@ bool ideal_contains_view(const PolyContext& ctx, const VerifyView& v, const Poly
 bool is_groebner_basis(const PolyContext& ctx, const std::vector<Polynomial>& basis,
                        std::string* why, const CoeffOptions& coeff) {
   VerifyView v(ctx, basis, coeff);
-  return is_groebner_basis_view(ctx, v, why, coeff);
+  return certify_view(ctx, v, {}, why, coeff);
 }
 
 bool ideal_contains(const PolyContext& ctx, const std::vector<Polynomial>& gb,
@@ -176,17 +216,8 @@ bool same_ideal(const PolyContext& ctx, const std::vector<Polynomial>& gb1,
 bool verify_groebner_result(const PolyContext& ctx, const std::vector<Polynomial>& inputs,
                             const std::vector<Polynomial>& basis, std::string* why,
                             const CoeffOptions& coeff) {
-  // One image + one reducer set (with its lazily built divmask cache) backs
-  // both the S-pair sweep and every input-containment query.
   VerifyView v(ctx, basis, coeff);
-  if (!is_groebner_basis_view(ctx, v, why, coeff)) return false;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (!ideal_contains_view(ctx, v, inputs[i])) {
-      if (why) *why = "input generator " + std::to_string(i) + " not in the output ideal";
-      return false;
-    }
-  }
-  return true;
+  return certify_view(ctx, v, inputs, why, coeff);
 }
 
 }  // namespace gbd

@@ -20,11 +20,17 @@
 //     library runs it on the sweep's (column, residue) rows, merging on
 //     column order; both must keep the same rows, zero the same sources and
 //     charge the same cost units.
+//   · all_pairs_is_groebner_basis — is_groebner_basis as first written:
+//     every pair except the coprime ones, each s-polynomial reduced on its
+//     own by reduce_full. The library reduces only the pairs the
+//     Gebauer–Möller criteria keep, together with the input generators, as
+//     one Macaulay batch; both must accept and reject the same sets.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +38,7 @@
 #include "poly/echelon.hpp"
 #include "poly/monomial.hpp"
 #include "poly/reduce.hpp"
+#include "poly/spoly.hpp"
 #include "support/check.hpp"
 #include "support/serialize.hpp"
 
@@ -258,6 +265,40 @@ inline EchelonOutput zp_interreduce_polys(const PolyContext& ctx, const ZpField&
   }
   std::sort(alive.begin(), alive.end(), [](const auto& a, const auto& b) { return a.src < b.src; });
   return swept;
+}
+
+/// The all-pairs Buchberger check (see the file header). Operands are
+/// canonicalized for `coeff` first, as the library certificate does.
+inline bool all_pairs_is_groebner_basis(const PolyContext& ctx,
+                                        const std::vector<Polynomial>& basis,
+                                        std::string* why = nullptr,
+                                        const CoeffOptions& coeff = {}) {
+  std::vector<Polynomial> use = basis;
+  for (Polynomial& p : use) coeff_normalize(ctx, &p, coeff);
+  VectorReducerSet set(&use);
+  ReduceOptions ropts;
+  ropts.coeff = coeff;
+  for (std::size_t i = 0; i < use.size(); ++i) {
+    if (use[i].is_zero()) {
+      if (why) *why = "basis contains the zero polynomial";
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < use.size(); ++i) {
+    for (std::size_t j = i + 1; j < use.size(); ++j) {
+      if (Monomial::coprime(use[i].hmono(), use[j].hmono())) continue;
+      Polynomial s = spoly(ctx, use[i], use[j], coeff);
+      ReduceOutcome out = reduce_full(ctx, std::move(s), set, ropts);
+      if (!out.poly.is_zero()) {
+        if (why) {
+          *why = "SPOL(basis[" + std::to_string(i) + "], basis[" + std::to_string(j) +
+                 "]) does not reduce to zero; normal form " + out.poly.to_string(ctx);
+        }
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace oracle

@@ -1,7 +1,8 @@
 // PR 4 — the paper's activity breakdown (§6/§7 discussion): for trinks1 at
 // P = 1/2/4/8 on the simulator, the per-processor split of virtual time into
 // reduce / comm / hold / idle, plus the load-imbalance ratio and the real
-// wall time of the (traced) simulation itself. Emits BENCH_pr4.json.
+// wall time of the (traced) simulation itself. Prints the tables; with
+// --out FILE also writes the JSON (committed as BENCH_pr4.json).
 //
 // The virtual-time percentages are deterministic for a fixed seed; wall_ms
 // is the only host-dependent field.
@@ -84,7 +85,7 @@ void write_json(const std::string& path, const std::string& problem,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_pr4.json";
+  std::string out_path;
   std::string problem = "trinks1";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -114,6 +115,7 @@ int main(int argc, char** argv) {
     runs.push_back(std::move(run));
   }
 
+  if (out_path.empty()) return 0;
   write_json(out_path, problem, runs);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

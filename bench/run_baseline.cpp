@@ -1,12 +1,12 @@
 // Reduction-kernel baseline: runs the sequential engine over the benchmark
 // problems with the geobucket reduction path and with the naive flat-vector
-// path, and emits BENCH_pr2.json with per-problem wall time and the kernel
-// counters (reduction steps, find_reducer probes / divmask rejects, BigInt
-// heap spills, charged work units).
+// path, and reports (as BENCH_pr2.json with --out) per-problem wall time and
+// the kernel counters (reduction steps, find_reducer probes / divmask
+// rejects, BigInt heap spills, charged work units).
 //
 // Modes:
 //   run_baseline [--out FILE] [--problems a,b,c] [--repeats N]
-//       measure and write the JSON (default BENCH_pr2.json in the CWD).
+//       measure and print; with --out, also write the JSON to FILE.
 //   run_baseline --check FILE [--tolerance PCT] [--problems a,b,c]
 //       measure and compare against a committed baseline. The deterministic
 //       counters (steps, probes, mask rejects, heap spills) must match
@@ -195,7 +195,7 @@ std::vector<std::string> split_csv(const std::string& s) {
 }
 
 int run(int argc, char** argv) {
-  std::string out_path = "BENCH_pr2.json";
+  std::string out_path;
   std::string check_path;
   double tolerance = 15.0;
   int repeats = 3;
@@ -250,6 +250,7 @@ int run(int argc, char** argv) {
   }
 
   if (!check_path.empty()) return check(rows, check_path, tolerance);
+  if (out_path.empty()) return 0;
   write_json(rows, out_path);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

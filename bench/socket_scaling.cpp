@@ -2,7 +2,7 @@
 // boundary cost, and what does GL-P wall time look like when every logical
 // processor is its own OS process on loopback TCP?
 //
-// Three sections, emitted as BENCH_pr5.json:
+// Three sections, written with --out (committed as BENCH_pr5.json):
 //   - rtt: round-trip time of one application envelope between two ranks
 //     (transport layer only — frame codec, reliability, poll loop).
 //   - throughput: one-way streaming rate of small envelopes, rank 0 -> 1.
@@ -13,7 +13,8 @@
 //     thread_scaling; the SimMachine numbers are the architecture proxy).
 //
 // Modes:
-//   socket_scaling [--out FILE]       measure everything, write the JSON
+//   socket_scaling [--out FILE]       measure everything and print; with
+//                                     --out, also write the JSON to FILE
 //   socket_scaling --smoke            CI gate: RTT sane (< 50 ms) and
 //                                     trinks1 P=2 completes with a basis
 #include <sys/wait.h>
@@ -341,6 +342,7 @@ int run_full(const std::string& out_path) {
                 static_cast<unsigned long long>(c.retransmits));
     cells.push_back(c);
   }
+  if (out_path.empty()) return 0;
 
   std::ostringstream js;
   js << "{\n";
@@ -377,7 +379,7 @@ int run_full(const std::string& out_path) {
 }  // namespace gbd
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_pr5.json";
+  std::string out_path;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {

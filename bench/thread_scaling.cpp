@@ -1,7 +1,8 @@
 // Wall-clock scaling of the real-threads backend (PR 3): runs the paper
 // problems on ThreadMachine at 1/2/4/8 threads with the sharded-mailbox
-// machine and the batched wire protocol, and emits BENCH_pr3.json with wall
-// time, speedup, message/byte totals and the mailbox contention counters.
+// machine and the batched wire protocol, and reports (as BENCH_pr3.json with
+// --out) wall time, speedup, message/byte totals and the mailbox contention
+// counters.
 //
 // Real speedup needs real cores: the JSON records host_cores
 // (std::thread::hardware_concurrency) next to every number, and each row
@@ -12,7 +13,7 @@
 //
 // Modes:
 //   thread_scaling [--out FILE] [--problems a,b,c] [--repeats N]
-//       measure and write the JSON (default BENCH_pr3.json in the CWD).
+//       measure and print; with --out, also write the JSON to FILE.
 //   thread_scaling --smoke [--threads N]
 //       CI gate: one problem (trinks1) at N threads (default 2). Exits 0
 //       with a note when the host has fewer cores than threads (the gate
@@ -180,7 +181,7 @@ std::vector<std::string> split_csv(const std::string& s) {
 }
 
 int run(int argc, char** argv) {
-  std::string out_path = "BENCH_pr3.json";
+  std::string out_path;
   std::vector<std::string> problems = {"katsura4", "trinks2", "trinks1"};
   std::vector<int> threads = {1, 2, 4, 8};
   int repeats = 5;
@@ -236,6 +237,7 @@ int run(int argc, char** argv) {
     }
     rows.push_back(std::move(row));
   }
+  if (out_path.empty()) return 0;
   write_json(rows, out_path);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

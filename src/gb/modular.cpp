@@ -1,45 +1,29 @@
 #include "gb/modular.hpp"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
 
 #include "bigint/zp.hpp"
-#include "gb/parallel.hpp"
 #include "gb/sequential.hpp"
 #include "gb/verify.hpp"
-#include "net/net_engine.hpp"
+#include "machine/chaos.hpp"
 #include "poly/reduce.hpp"
 #include "support/check.hpp"
 #include "support/serialize.hpp"
 
 namespace gbd {
 
-const char* modular_backend_name(ModularBackend b) {
-  switch (b) {
-    case ModularBackend::kSequential: return "sequential";
-    case ModularBackend::kSim: return "sim";
-    case ModularBackend::kThread: return "thread";
-    case ModularBackend::kSocket: return "socket";
-  }
-  return "?";
-}
-
 std::string ModularStats::summary() const {
   std::string s = "primes=" + std::to_string(primes_used) +
                   " unlucky=" + std::to_string(primes_unlucky) +
                   " inadmissible=" + std::to_string(primes_inadmissible) +
-                  " jobs=" + std::to_string(jobs_run) + " retried=" + std::to_string(jobs_retried) +
-                  " failed=" + std::to_string(jobs_failed) + " rounds=" + std::to_string(rounds) +
+                  " jobs=" + std::to_string(jobs_run) + " failed=" + std::to_string(jobs_failed) +
+                  " rounds=" + std::to_string(rounds) +
                   " recon_failures=" + std::to_string(reconstruction_failures) +
                   " modulus_bits=" + std::to_string(modulus_bits);
   if (used_exact_fallback) s += " exact_fallback";
@@ -110,74 +94,6 @@ bool prime_admissible(const PolySystem& sys, const ZpField& field) {
   return true;
 }
 
-/// Fork cfg.nprocs single-rank processes over loopback TCP, run GL-P mod p,
-/// and read rank 0's raw basis back through a temp file (the same pattern
-/// the cross-backend tests use; _exit everywhere so a child never runs the
-/// parent's atexit machinery).
-std::optional<std::vector<Polynomial>> run_socket_job(const PolySystem& sys, const GbConfig& gb,
-                                                      const ModularConfig& cfg, int base_port) {
-  std::string path = "/tmp/gbd_modular_" + std::to_string(::getpid()) + "_" +
-                     std::to_string(base_port) + ".bin";
-  std::vector<pid_t> pids;
-  for (int r = 0; r < cfg.nprocs; ++r) {
-    pid_t pid = ::fork();
-    if (pid == 0) {
-      try {
-        SocketMachineConfig mc;
-        mc.net.rank = r;
-        mc.net.nprocs = cfg.nprocs;
-        mc.net.chaos = cfg.chaos;
-        for (int i = 0; i < cfg.nprocs; ++i) {
-          NetEndpoint ep;
-          ep.host = "127.0.0.1";
-          ep.port = static_cast<std::uint16_t>(base_port + i);
-          mc.net.peers.push_back(ep);
-        }
-        SocketMachine machine(mc);
-        ParallelConfig pc;
-        pc.gb = gb;
-        pc.nprocs = cfg.nprocs;
-        pc.seed = cfg.seed;
-        ParallelResult res = groebner_parallel_socket(machine, sys, pc);
-        if (r != 0) ::_exit(0);
-        Writer w;
-        w.u32(static_cast<std::uint32_t>(res.basis.size()));
-        for (const Polynomial& p : res.basis) p.write(w);
-        std::vector<std::uint8_t> bytes = w.take();
-        std::ofstream out(path, std::ios::binary);
-        out.write(reinterpret_cast<const char*>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.close();  // _exit skips destructors; flush explicitly
-        ::_exit(out ? 0 : 1);
-      } catch (...) {
-        ::_exit(3);
-      }
-    }
-    pids.push_back(pid);
-  }
-  bool ok = true;
-  for (pid_t pid : pids) {
-    int st = 0;
-    ::waitpid(pid, &st, 0);
-    ok = ok && WIFEXITED(st) && WEXITSTATUS(st) == 0;
-  }
-  if (!ok) {
-    std::remove(path.c_str());
-    return std::nullopt;
-  }
-  std::ifstream in(path, std::ios::binary);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  std::remove(path.c_str());
-  Reader rd(bytes);
-  std::uint32_t n = rd.u32();
-  std::vector<Polynomial> basis;
-  basis.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) basis.push_back(Polynomial::read(rd));
-  if (!rd.done()) return std::nullopt;
-  return basis;
-}
-
 struct JobOutcome {
   bool ok = false;
   std::vector<Polynomial> basis;  ///< canonical reduced monic basis mod p
@@ -185,55 +101,20 @@ struct JobOutcome {
   double verify_seconds = 0.0;
 };
 
-/// One job attempt: GB mod `prime` on the configured backend, canonical
-/// Zp reduction, and (cfg.verify) the per-prime certificate.
-JobOutcome run_prime_job(const PolySystem& sys, const ModularConfig& cfg, std::uint64_t prime,
-                         int attempt, int base_port) {
+/// One job: GB mod `prime` on the sequential engine, canonical Zp
+/// reduction, and (cfg.verify) the per-prime certificate. The job is
+/// deterministic, so a failure is final for this prime.
+JobOutcome run_prime_job(const PolySystem& sys, const ModularConfig& cfg, std::uint64_t prime) {
   JobOutcome out;
-  // Injected fault drill — deterministic in (seed, prime, attempt) and never
-  // fired on the final allowed attempt, so a drilled run still completes.
-  if (cfg.fault_permille > 0 && attempt < cfg.max_job_retries &&
-      chaos_mix2(cfg.seed ^ prime, static_cast<std::uint64_t>(attempt)) % 1000 <
-          cfg.fault_permille) {
+  // Injected fault drill — deterministic in (seed, prime).
+  if (cfg.fault_permille > 0 && chaos_mix2(cfg.seed, prime) % 1000 < cfg.fault_permille) {
     out.why = "injected fault";
     return out;
   }
+  const CoeffOptions zp = CoeffOptions::zp(prime);
   GbConfig gb = cfg.gb;
-  gb.coeff = CoeffOptions::zp(prime);
-  std::vector<Polynomial> raw;
-  switch (cfg.backend) {
-    case ModularBackend::kSequential:
-      raw = groebner_sequential(sys, gb).basis;
-      break;
-    case ModularBackend::kSim: {
-      ParallelConfig pc;
-      pc.gb = gb;
-      pc.nprocs = cfg.nprocs;
-      pc.seed = chaos_mix2(cfg.seed, prime) + static_cast<std::uint64_t>(attempt);
-      pc.chaos = cfg.chaos;
-      raw = groebner_parallel(sys, pc).basis;
-      break;
-    }
-    case ModularBackend::kThread: {
-      ParallelConfig pc;
-      pc.gb = gb;
-      pc.nprocs = cfg.nprocs;
-      pc.seed = chaos_mix2(cfg.seed, prime) + static_cast<std::uint64_t>(attempt);
-      raw = groebner_parallel_threads(sys, pc).basis;
-      break;
-    }
-    case ModularBackend::kSocket: {
-      std::optional<std::vector<Polynomial>> r = run_socket_job(sys, gb, cfg, base_port);
-      if (!r.has_value()) {
-        out.why = "socket job failed";
-        return out;
-      }
-      raw = std::move(*r);
-      break;
-    }
-  }
-  CoeffOptions zp = CoeffOptions::zp(prime);
-  out.basis = reduce_basis(sys.ctx, std::move(raw), zp);
+  gb.coeff = zp;
+  out.basis = reduce_basis(sys.ctx, groebner_sequential(sys, gb).basis, zp);
   if (cfg.verify) {
     Clock::time_point tv = Clock::now();
     std::string why;
@@ -328,6 +209,12 @@ ModularResult groebner_multimodular(const PolySystem& sys, const ModularConfig& 
                 "groebner_multimodular: bad prime budget");
   GBD_CHECK_MSG(cfg.prime_bits >= 3 && cfg.prime_bits <= 62,
                 "groebner_multimodular: prime_bits out of range");
+  // The driver picks the ring of every run itself, and reduce_basis needs a
+  // complete basis from each one.
+  GBD_CHECK_MSG(!cfg.gb.coeff.is_zp(),
+                "groebner_multimodular: gb.coeff must be exact; the driver sets each prime");
+  GBD_CHECK_MSG(cfg.gb.stop == nullptr,
+                "groebner_multimodular: runs to completion and does not support stop");
   ModularResult res;
 
   // Lazy descending prime source: forced primes first, then downward from
@@ -344,29 +231,15 @@ ModularResult groebner_multimodular(const PolySystem& sys, const ModularConfig& 
     return candidate;
   };
 
-  const int port_base = cfg.socket_base_port != 0
-                            ? cfg.socket_base_port
-                            : 26000 + static_cast<int>(::getpid() % 17000);
-  int port_off = 0;
-
-  std::size_t jobs = cfg.jobs;
-  if (jobs == 0) {
-    // The thread backend already spreads one job across cores and the socket
-    // backend forks processes — run those one at a time. Sequential and sim
-    // jobs are single-threaded, so a small pool overlaps them.
-    bool pooled = cfg.backend == ModularBackend::kSequential || cfg.backend == ModularBackend::kSim;
-    unsigned hw = std::thread::hardware_concurrency();
-    jobs = pooled ? std::max<std::size_t>(2, std::min<std::size_t>(4, hw == 0 ? 2 : hw)) : 1;
-  }
-  if (cfg.backend == ModularBackend::kSocket) jobs = 1;  // fork + fixed ports
+  // Per-prime jobs are single-threaded; a small pool overlaps them.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t jobs = std::max<std::size_t>(2, std::min<std::size_t>(4, hw == 0 ? 2 : hw));
 
   auto exact_fallback = [&]() -> ModularResult {
     GBD_CHECK_MSG(cfg.exact_fallback,
                   "groebner_multimodular: prime budget exhausted and exact_fallback disabled");
     res.stats.used_exact_fallback = true;
-    GbConfig gb = cfg.gb;
-    gb.coeff = CoeffOptions::exact();
-    res.basis = reduce_basis(sys.ctx, groebner_sequential(sys, gb).basis);
+    res.basis = reduce_basis(sys.ctx, groebner_sequential(sys, cfg.gb).basis);
     res.primes.clear();
     if (cfg.verify) {
       Clock::time_point tv = Clock::now();
@@ -401,42 +274,30 @@ ModularResult groebner_multimodular(const PolySystem& sys, const ModularConfig& 
     if (batch.empty()) return exact_fallback();
     primes_attempted += batch.size();
 
-    // Run the batch, with retries; a small pool overlaps independent jobs.
+    // Run the batch; a small pool overlaps independent jobs.
     Clock::time_point tg = Clock::now();
     std::vector<std::optional<PrimeRun>> slots(batch.size());
-    std::mutex mu;  // guards res.stats and slots
+    std::mutex mu;  // guards res.stats
     std::atomic<std::size_t> next{0};
     auto job_worker = [&]() {
       for (;;) {
         std::size_t i = next.fetch_add(1);
         if (i >= batch.size()) return;
-        std::uint64_t prime = batch[i];
-        int port = 0;
-        {
-          std::lock_guard<std::mutex> g(mu);
-          port = port_base + port_off;
-          // Fresh ports per job so back-to-back runs never hit TIME_WAIT.
-          port_off = (port_off + cfg.nprocs) % 4096;
+        JobOutcome out = run_prime_job(sys, cfg, batch[i]);
+        if (out.ok) {
+          PrimeRun run;
+          run.prime = batch[i];
+          run.shape = shape_key(out.basis);
+          run.basis = std::move(out.basis);
+          slots[i] = std::move(run);
         }
-        for (int attempt = 0; attempt <= cfg.max_job_retries; ++attempt) {
-          JobOutcome out = run_prime_job(sys, cfg, prime, attempt, port);
-          std::lock_guard<std::mutex> g(mu);
-          res.stats.jobs_run += 1;
-          res.stats.verify_seconds += out.verify_seconds;
-          if (out.ok) {
-            PrimeRun run;
-            run.prime = prime;
-            run.shape = shape_key(out.basis);
-            run.basis = std::move(out.basis);
-            slots[i] = std::move(run);
-            break;
-          }
-          res.stats.jobs_failed += 1;
-          if (attempt < cfg.max_job_retries) res.stats.jobs_retried += 1;
-        }
+        std::lock_guard<std::mutex> g(mu);
+        res.stats.jobs_run += 1;
+        res.stats.verify_seconds += out.verify_seconds;
+        if (!out.ok) res.stats.jobs_failed += 1;
       }
     };
-    if (jobs <= 1 || batch.size() <= 1) {
+    if (batch.size() <= 1) {
       job_worker();
     } else {
       std::vector<std::thread> pool;

@@ -6,10 +6,8 @@
 // The exact engines spend nearly all their time on coefficient growth (the
 // PR-4 breakdowns); mod p every coefficient is one word, so a per-prime run
 // is often an order of magnitude cheaper than the exact run and the lift
-// amortizes a handful of them. Per-prime jobs are independent and dispatch
-// onto any existing backend — the sequential engine, GL-P on a SimMachine or
-// ThreadMachine in-process, or GL-P across forked single-rank processes over
-// the socket backend.
+// amortizes a handful of them. Per-prime jobs are independent; each runs
+// groebner_sequential in process, and a small thread pool overlaps them.
 //
 // Soundness. A prime can be *unlucky*: the mod-p basis has a different
 // lead-term structure than the true basis over Q, and lifting it would be
@@ -38,28 +36,15 @@
 
 #include "gb/engine_common.hpp"
 #include "io/parse.hpp"
-#include "machine/chaos.hpp"
 
 namespace gbd {
 
-/// Which engine runs each per-prime job.
-enum class ModularBackend : std::uint8_t {
-  kSequential,  ///< groebner_sequential in-process
-  kSim,         ///< GL-P on a fresh SimMachine (deterministic virtual time)
-  kThread,      ///< GL-P on a ThreadMachine (real threads)
-  kSocket,      ///< GL-P across forked one-rank processes over TCP sockets
-};
-
-const char* modular_backend_name(ModularBackend b);
-
 struct ModularConfig {
-  /// Engine options for the per-prime jobs and the exact fallback. The coeff
-  /// field is overridden per prime; leave it exact.
+  /// Engine options for the per-prime jobs and the exact fallback. The driver
+  /// sets the coefficient ring itself (each prime, then exact) and runs every
+  /// job to completion: a Zp coeff or a non-null stop aborts.
   GbConfig gb;
-  ModularBackend backend = ModularBackend::kSequential;
-  /// Processors per per-prime job (parallel backends only).
-  int nprocs = 2;
-  /// Primes in the first round / added per retry round / overall budget.
+  /// Primes in the first round / added per later round / overall budget.
   std::size_t initial_primes = 3;
   std::size_t step_primes = 2;
   std::size_t max_primes = 16;
@@ -69,18 +54,9 @@ struct ModularConfig {
   /// Deliberately unlucky primes go here; the admissibility screen still
   /// applies. Must be valid ZpField moduli.
   std::vector<std::uint64_t> forced_primes;
-  /// Concurrent per-prime jobs. 0 = auto (a small pool for the sequential
-  /// and sim backends; 1 for thread and socket backends, which already
-  /// spread across cores or fork processes).
-  std::size_t jobs = 0;
-  /// A failed per-prime job (certificate failure or injected fault) is
-  /// retried this many times with a perturbed seed before the prime is
-  /// abandoned.
-  int max_job_retries = 2;
-  /// Fault drill: each job *attempt* fails with this probability (per
-  /// mille), deterministically from (seed, prime, attempt) — except the last
-  /// allowed attempt, so a drilled run still completes. Exercises the retry
-  /// path; 0 = off.
+  /// Fault drill: each prime's job fails with this probability (per mille),
+  /// deterministically from (seed, prime). A failed job abandons its prime,
+  /// exactly like a failed Zp certificate; 0 = off.
   std::uint32_t fault_permille = 0;
   /// Run the per-prime Zp certificates and the final exact certificate.
   bool verify = true;
@@ -88,20 +64,14 @@ struct ModularConfig {
   /// fall back to the exact sequential engine instead of failing.
   bool exact_fallback = true;
   std::uint64_t seed = 1;
-  /// Chaos injection for Sim/Thread/Socket machine backends (machine/chaos.hpp).
-  ChaosConfig chaos;
-  /// Socket backend: first TCP port; 0 derives one from the pid. Each job
-  /// advances by nprocs so back-to-back jobs never collide in TIME_WAIT.
-  int socket_base_port = 0;
 };
 
 struct ModularStats {
   std::uint64_t primes_used = 0;          ///< primes contributing to the returned lift
   std::uint64_t primes_unlucky = 0;       ///< admissible primes voted down or lift-inconsistent
   std::uint64_t primes_inadmissible = 0;  ///< screened out before any job ran
-  std::uint64_t jobs_run = 0;             ///< job attempts, including retries
-  std::uint64_t jobs_retried = 0;
-  std::uint64_t jobs_failed = 0;  ///< attempts lost to faults or failed Zp certificates
+  std::uint64_t jobs_run = 0;             ///< per-prime jobs, one per admissible prime
+  std::uint64_t jobs_failed = 0;  ///< jobs lost to faults or failed Zp certificates
   std::uint64_t rounds = 0;       ///< prime-batch rounds before success
   std::uint64_t reconstruction_failures = 0;  ///< CRT lifts rejected by the bound
   std::uint64_t modulus_bits = 0;             ///< bit length of the final combined modulus
@@ -125,9 +95,10 @@ struct ModularResult {
 
 /// Compute the canonical reduced Gröbner basis of sys by the multi-modular
 /// strategy above. Throws nothing; unlucky primes, reconstruction failures
-/// and injected faults retry with more primes and ultimately fall back to
-/// the exact engine (cfg.exact_fallback). Aborts only on configs that can
-/// never succeed (exact_fallback off and the prime budget exhausted).
+/// and failed jobs draw more primes and ultimately fall back to the exact
+/// engine (cfg.exact_fallback). Aborts on configs it has no path for (a Zp
+/// gb.coeff, a non-null gb.stop) and on configs that can never succeed
+/// (exact_fallback off and the prime budget exhausted).
 ModularResult groebner_multimodular(const PolySystem& sys, const ModularConfig& cfg);
 
 /// Rational reconstruction: the unique n/d with a ≡ n·d^{-1} (mod m),

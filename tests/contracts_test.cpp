@@ -7,6 +7,7 @@
 
 #include "bigint/bigint.hpp"
 #include "bigint/rational.hpp"
+#include "gb/modular.hpp"
 #include "gb/parallel.hpp"
 #include "gb/pipeline.hpp"
 #include "gb/shared_memory.hpp"
@@ -134,6 +135,22 @@ TEST(ContractsDeathTest, GlpRejectsConfigItHasNoPathFor) {
     cfg.nprocs = 2;
     c.set(&cfg.gb);
     EXPECT_DEATH({ auto r = groebner_parallel(sys, cfg); (void)r; }, c.message);
+  }
+}
+
+TEST(ContractsDeathTest, ModularDriverRejectsConfigItHasNoPathFor) {
+  // The driver sets the ring of every run itself and lifts only complete
+  // bases: a caller's Zp coeff or stop seam aborts instead of being ignored.
+  static const std::atomic<bool> stop{false};
+  const ConfigCase cases[] = {
+      {[](GbConfig* g) { g->coeff = CoeffOptions::zp(32003); }, "gb.coeff must be exact"},
+      {[](GbConfig* g) { g->stop = &stop; }, "does not support stop"},
+  };
+  PolySystem sys = load_problem("arnborg4");
+  for (const ConfigCase& c : cases) {
+    ModularConfig cfg;
+    c.set(&cfg.gb);
+    EXPECT_DEATH({ auto r = groebner_multimodular(sys, cfg); (void)r; }, c.message);
   }
 }
 

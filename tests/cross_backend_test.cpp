@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gb/modular.hpp"
 #include "gb/parallel.hpp"
 #include "gb/sequential.hpp"
 #include "gb/verify.hpp"
@@ -30,9 +29,10 @@ namespace gbd {
 namespace {
 
 void expect_identical_reduced(const PolySystem& sys, const std::vector<Polynomial>& a,
-                              const std::vector<Polynomial>& b, const std::string& label) {
-  std::vector<Polynomial> ra = reduce_basis(sys.ctx, a);
-  std::vector<Polynomial> rb = reduce_basis(sys.ctx, b);
+                              const std::vector<Polynomial>& b, const std::string& label,
+                              const CoeffOptions& coeff = {}) {
+  std::vector<Polynomial> ra = reduce_basis(sys.ctx, a, coeff);
+  std::vector<Polynomial> rb = reduce_basis(sys.ctx, b, coeff);
   ASSERT_EQ(ra.size(), rb.size()) << label;
   for (std::size_t i = 0; i < ra.size(); ++i) {
     EXPECT_TRUE(ra[i].equals(rb[i])) << label << " element " << i;
@@ -129,7 +129,8 @@ struct SocketRunResult {
 /// per-rank ProcCommStats come back too: rank 0's exit handshake collects
 /// every rank's counters, which is what makes the conservation law checkable
 /// from one process.
-SocketRunResult run_socket_backend(const PolySystem& sys, int nprocs, int base_port) {
+SocketRunResult run_socket_backend(const PolySystem& sys, int nprocs, int base_port,
+                                   const CoeffOptions& coeff = {}) {
   std::string path = "/tmp/gbd_xbk_" + std::to_string(::getpid()) + "_" +
                      std::to_string(base_port) + ".bin";
   std::vector<pid_t> pids;
@@ -148,6 +149,7 @@ SocketRunResult run_socket_backend(const PolySystem& sys, int nprocs, int base_p
       SocketMachine machine(mc);
       ParallelConfig cfg;
       cfg.nprocs = nprocs;
+      cfg.gb.coeff = coeff;
       ParallelResult res;
       try {
         res = groebner_parallel_socket(machine, sys, cfg);
@@ -192,23 +194,33 @@ SocketRunResult run_socket_backend(const PolySystem& sys, int nprocs, int base_p
 }
 
 // The full three-way differential: simulator, threads and sockets reduce to
-// the *identical* canonical basis at P=2 and P=4, and the socket backend's
-// gathered counters conserve envelopes (everything sent across process
-// boundaries was delivered somewhere — quiescence guarantees no residue).
+// the *identical* canonical basis at P=2 and P=4, over Q and mod p, and the
+// socket backend's gathered counters conserve envelopes (everything sent
+// across process boundaries was delivered somewhere — quiescence guarantees
+// no residue). The Zp cell also checks each backend against the sequential
+// engine's reduced basis mod p.
 TEST(CrossBackendTest, SimThreadsAndSocketsComputeTheSameBasis) {
   PolySystem sys = load_problem("katsura4");
-  for (int nprocs : {2, 4}) {
-    ParallelConfig cfg;
-    cfg.nprocs = nprocs;
-    ParallelResult sim = groebner_parallel(sys, cfg);
-    ParallelResult thr = groebner_parallel_threads(sys, cfg);
-    SocketRunResult sock = run_socket_backend(sys, nprocs, test::reserve_port_block());
-    ASSERT_TRUE(sock.ok) << "socket run failed at P=" << nprocs;
-    std::string label = "P=" + std::to_string(nprocs);
-    expect_identical_reduced(sys, sim.basis, thr.basis, label + " sim/threads");
-    expect_identical_reduced(sys, sim.basis, sock.basis, label + " sim/sockets");
-    EXPECT_EQ(sock.sent, sock.received) << label << " envelope conservation across ranks";
-    EXPECT_GT(sock.sent, 0u) << label;
+  const std::uint64_t prime = 4611686018427387847ULL;  // largest prime below 2^62
+  for (const CoeffOptions& coeff : {CoeffOptions::exact(), CoeffOptions::zp(prime)}) {
+    GbConfig seq;
+    seq.coeff = coeff;
+    std::vector<Polynomial> want = groebner_sequential(sys, seq).basis;
+    for (int nprocs : {2, 4}) {
+      ParallelConfig cfg;
+      cfg.nprocs = nprocs;
+      cfg.gb.coeff = coeff;
+      ParallelResult sim = groebner_parallel(sys, cfg);
+      ParallelResult thr = groebner_parallel_threads(sys, cfg);
+      SocketRunResult sock = run_socket_backend(sys, nprocs, test::reserve_port_block(), coeff);
+      std::string label = coeff.to_string() + " P=" + std::to_string(nprocs);
+      ASSERT_TRUE(sock.ok) << "socket run failed at " << label;
+      expect_identical_reduced(sys, want, sim.basis, label + " sequential/sim", coeff);
+      expect_identical_reduced(sys, want, thr.basis, label + " sequential/threads", coeff);
+      expect_identical_reduced(sys, want, sock.basis, label + " sequential/sockets", coeff);
+      EXPECT_EQ(sock.sent, sock.received) << label << " envelope conservation across ranks";
+      EXPECT_GT(sock.sent, 0u) << label;
+    }
   }
 }
 
@@ -223,60 +235,6 @@ TEST(CrossBackendTest, SocketsMatchSimOnTrinks1) {
   ASSERT_TRUE(verify_groebner_result(sys.ctx, sys.polys, sock.basis, &why)) << why;
   expect_identical_reduced(sys, sim.basis, sock.basis, "trinks1 sim/sockets");
   EXPECT_EQ(sock.sent, sock.received);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-modular driver: the per-prime jobs dispatch onto each backend in
-// turn, and the certified lifted basis must be identical everywhere.
-// ---------------------------------------------------------------------------
-
-TEST(CrossBackendTest, ModularDriverAgreesAcrossAllBackends) {
-  PolySystem sys = load_problem("katsura4");
-  std::vector<Polynomial> exact = reduce_basis(sys.ctx, groebner_sequential(sys).basis);
-  for (int nprocs : {2, 4}) {
-    for (ModularBackend backend :
-         {ModularBackend::kSequential, ModularBackend::kSim, ModularBackend::kThread,
-          ModularBackend::kSocket}) {
-      ModularConfig cfg;
-      cfg.backend = backend;
-      cfg.nprocs = nprocs;
-      cfg.initial_primes = 2;
-      cfg.max_primes = 6;
-      cfg.socket_base_port = test::reserve_port_block();  // room for every prime job
-      ModularResult res = groebner_multimodular(sys, cfg);
-      std::string label =
-          std::string("modular ") + modular_backend_name(backend) + " P=" + std::to_string(nprocs);
-      EXPECT_TRUE(res.stats.verified) << label;
-      EXPECT_FALSE(res.stats.used_exact_fallback) << label;
-      ASSERT_EQ(res.basis.size(), exact.size()) << label;
-      for (std::size_t i = 0; i < exact.size(); ++i) {
-        EXPECT_TRUE(res.basis[i].equals(exact[i])) << label << " element " << i;
-      }
-    }
-  }
-}
-
-TEST(CrossBackendTest, ModularDriverSurvivesChaosAndInjectedFaults) {
-  // Level-1 chaos jitters the simulated machine under every per-prime GL-P
-  // job while the fault drill kills each job's early attempts outright. The
-  // driver must retry the jobs, still certify, and land on the exact basis.
-  PolySystem sys = load_problem("arnborg4");
-  std::vector<Polynomial> exact = reduce_basis(sys.ctx, groebner_sequential(sys).basis);
-  ModularConfig cfg;
-  cfg.backend = ModularBackend::kSim;
-  cfg.nprocs = 4;
-  cfg.chaos = ChaosConfig::intensity(1, 42);
-  cfg.fault_permille = 1000;  // every attempt but the last allowed one fails
-  cfg.max_job_retries = 2;
-  cfg.initial_primes = 2;
-  ModularResult res = groebner_multimodular(sys, cfg);
-  EXPECT_TRUE(res.stats.verified);
-  EXPECT_FALSE(res.stats.used_exact_fallback);
-  EXPECT_GE(res.stats.jobs_retried, 2u * cfg.initial_primes);
-  ASSERT_EQ(res.basis.size(), exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_TRUE(res.basis[i].equals(exact[i])) << "element " << i;
-  }
 }
 
 TEST(CrossBackendTest, MetricsSnapshotsHaveIdenticalShape) {

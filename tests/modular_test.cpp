@@ -210,19 +210,35 @@ TEST(ModularDriverTest, InadmissiblePrimeIsScreenedBeforeAnyJob) {
   expect_same_basis(sys, res.basis, exact_reduced(sys), "inadmissible");
 }
 
-TEST(ModularDriverTest, InjectedFaultsAreRetriedAndRunCompletes) {
+TEST(ModularDriverTest, InjectedFaultsAbandonPrimesAndRunCompletes) {
+  // A per-prime job is deterministic, so a failed one is not retried: its
+  // prime is abandoned and the driver draws more primes, else falls back to
+  // the exact engine.
   PolySystem sys = load_problem("arnborg4");
-  ModularConfig cfg;
-  cfg.initial_primes = 2;
-  cfg.fault_permille = 1000;  // every attempt fails except the last allowed
-  cfg.max_job_retries = 2;
-  ModularResult res = groebner_multimodular(sys, cfg);
-  EXPECT_TRUE(res.stats.verified);
-  EXPECT_FALSE(res.stats.used_exact_fallback);
-  EXPECT_GE(res.stats.jobs_retried, 2u * cfg.initial_primes);
-  EXPECT_GE(res.stats.jobs_failed, 2u * cfg.initial_primes);
-  EXPECT_GT(res.stats.jobs_run, res.stats.jobs_failed);
-  expect_same_basis(sys, res.basis, exact_reduced(sys), "fault-drill");
+  {
+    ModularConfig cfg;
+    cfg.initial_primes = 2;
+    cfg.fault_permille = 1000;  // every job fails
+    ModularResult res = groebner_multimodular(sys, cfg);
+    EXPECT_EQ(res.stats.jobs_failed, res.stats.jobs_run);
+    EXPECT_EQ(res.stats.jobs_run, cfg.max_primes);
+    EXPECT_TRUE(res.stats.used_exact_fallback);
+    EXPECT_TRUE(res.stats.verified);
+    EXPECT_TRUE(res.primes.empty());
+    expect_same_basis(sys, res.basis, exact_reduced(sys), "fault-drill all");
+  }
+  {
+    ModularConfig cfg;
+    cfg.initial_primes = 2;
+    cfg.fault_permille = 500;
+    cfg.seed = 7;
+    ModularResult res = groebner_multimodular(sys, cfg);
+    EXPECT_GE(res.stats.jobs_failed, 1u);
+    EXPECT_GT(res.stats.jobs_run, res.stats.jobs_failed);
+    EXPECT_FALSE(res.stats.used_exact_fallback);
+    EXPECT_TRUE(res.stats.verified);
+    expect_same_basis(sys, res.basis, exact_reduced(sys), "fault-drill partial");
+  }
 }
 
 TEST(ModularDriverTest, SmallPrimesStillEndVerifiedAndCorrect) {

@@ -1,17 +1,13 @@
 // PR 10 exhibit: GB-as-a-service job throughput.
 //
 // Drives the real daemon stack end to end — JobServer over TCP, the GBDF
-// serve protocol, the canonical-form result cache, and requeue-on-worker-
-// death — with a queued corpus of >= 1000 jobs, and reports jobs/sec plus
-// p50/p99 client-observed latency (with --out FILE, as the JSON committed as
-// BENCH_pr10.json).
+// serve protocol and the canonical-form result cache — with a queued corpus
+// of >= 1000 jobs, and reports jobs/sec plus p50/p99 client-observed latency
+// (with --out FILE, in the JSON format of BENCH_pr10.json).
 //
-// Three scenarios, same harness:
+// Two scenarios, same harness:
 //   cold_distinct  every job a distinct ideal: pure compute throughput
 //   warm_cache     1000 jobs over 25 distinct ideals: cache-served rate
-//   chaos_faults   a simulated rank death every 97th job on its first
-//                  attempt: requeue machinery on the hot path, still
-//                  exactly one result per token
 //
 // Every job asks for a certificate (want_cert): a scenario only counts as
 // passed when every result is kDone with a verified certificate, and no
@@ -29,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/transport.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
@@ -52,7 +47,6 @@ struct ScenarioRow {
   double p50_latency_ms = 0;
   double p99_latency_ms = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t requeues = 0;
   std::size_t certs = 0;
   std::size_t lost = 0;
   std::size_t duplicated = 0;
@@ -69,7 +63,7 @@ double quantile_ms(std::vector<double>& v, double q) {
 /// Queue `jobs` submissions across `nconns` connections against a paused
 /// server, release the workers, and drain every result.
 ScenarioRow run_scenario(const std::string& name, std::size_t jobs, std::size_t distinct,
-                         std::size_t fault_every, std::uint32_t workers) {
+                         std::uint32_t workers) {
   ScenarioRow row;
   row.name = name;
   row.jobs = jobs;
@@ -80,12 +74,6 @@ ScenarioRow run_scenario(const std::string& name, std::size_t jobs, std::size_t 
   cfg.queue_capacity = jobs + 64;
   cfg.cache_capacity = 512;
   cfg.start_paused = true;
-  if (fault_every > 0) {
-    cfg.fault_hook = [fault_every](const Job& job) {
-      if (job.req.token % fault_every == 1 && job.attempt == 1)
-        throw NetError("bench chaos: rank 1 connection reset mid-reduction");
-    };
-  }
   JobServer server(std::move(cfg));
   std::string err;
   if (!server.start(&err)) {
@@ -177,7 +165,6 @@ ScenarioRow run_scenario(const std::string& name, std::size_t jobs, std::size_t 
   row.p50_latency_ms = quantile_ms(latencies, 0.50);
   row.p99_latency_ms = quantile_ms(latencies, 0.99);
   row.cache_hits = server.cache_stats().hits;
-  row.requeues = server.stats().requeues;
   row.ok = got == jobs && row.certs == jobs && row.lost == 0 && row.duplicated == 0;
   server.stop();
   return row;
@@ -188,20 +175,17 @@ int run(std::size_t jobs, const std::string& out_path) {
   std::uint32_t workers = std::min(hw, 4u);
 
   std::vector<ScenarioRow> rows;
-  rows.push_back(run_scenario("cold_distinct", jobs, jobs, 0, workers));
-  rows.push_back(run_scenario("warm_cache", jobs, 25, 0, workers));
-  rows.push_back(run_scenario("chaos_faults", jobs, 50, 97, workers));
+  rows.push_back(run_scenario("cold_distinct", jobs, jobs, workers));
+  rows.push_back(run_scenario("warm_cache", jobs, 25, workers));
 
-  std::printf("%-14s %6s %9s %12s %12s %12s %10s %8s %5s %4s %4s\n", "scenario", "jobs",
-              "wall_ms", "jobs_per_sec", "p50_lat_ms", "p99_lat_ms", "cache_hits", "requeues",
-              "certs", "lost", "dup");
+  std::printf("%-14s %6s %9s %12s %12s %12s %10s %5s %4s %4s\n", "scenario", "jobs", "wall_ms",
+              "jobs_per_sec", "p50_lat_ms", "p99_lat_ms", "cache_hits", "certs", "lost", "dup");
   bool all_ok = true;
   for (const ScenarioRow& r : rows) {
-    std::printf("%-14s %6zu %9.0f %12.1f %12.1f %12.1f %10llu %8llu %5zu %4zu %4zu %s\n",
+    std::printf("%-14s %6zu %9.0f %12.1f %12.1f %12.1f %10llu %5zu %4zu %4zu %s\n",
                 r.name.c_str(), r.jobs, r.wall_ms, r.jobs_per_sec, r.p50_latency_ms,
-                r.p99_latency_ms, static_cast<unsigned long long>(r.cache_hits),
-                static_cast<unsigned long long>(r.requeues), r.certs, r.lost, r.duplicated,
-                r.ok ? "ok" : "FAIL");
+                r.p99_latency_ms, static_cast<unsigned long long>(r.cache_hits), r.certs, r.lost,
+                r.duplicated, r.ok ? "ok" : "FAIL");
     all_ok = all_ok && r.ok;
   }
   if (!all_ok) {
@@ -212,7 +196,7 @@ int run(std::size_t jobs, const std::string& out_path) {
 
   std::ostringstream js;
   js << "{\n  \"bench\": \"pr10_job_throughput\",\n";
-  js << "  \"config\": {\"workers\": " << workers << ", \"connections\": 4, \"backend\": \"seq\", "
+  js << "  \"config\": {\"workers\": " << workers << ", \"connections\": 4, "
      << "\"want_cert\": true, \"queued_before_start\": true},\n";
   js << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -221,12 +205,11 @@ int run(std::size_t jobs, const std::string& out_path) {
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"jobs\": %zu, \"distinct\": %zu, \"wall_ms\": %.0f, "
                   "\"jobs_per_sec\": %.1f, \"p50_latency_ms\": %.1f, \"p99_latency_ms\": %.1f, "
-                  "\"cache_hits\": %llu, \"requeues\": %llu, \"certs\": %zu, \"lost\": %zu, "
+                  "\"cache_hits\": %llu, \"certs\": %zu, \"lost\": %zu, "
                   "\"duplicated\": %zu}%s\n",
                   r.name.c_str(), r.jobs, r.distinct, r.wall_ms, r.jobs_per_sec, r.p50_latency_ms,
-                  r.p99_latency_ms, static_cast<unsigned long long>(r.cache_hits),
-                  static_cast<unsigned long long>(r.requeues), r.certs, r.lost, r.duplicated,
-                  i + 1 < rows.size() ? "," : "");
+                  r.p99_latency_ms, static_cast<unsigned long long>(r.cache_hits), r.certs, r.lost,
+                  r.duplicated, i + 1 < rows.size() ? "," : "");
     js << buf;
   }
   js << "  ]\n}\n";

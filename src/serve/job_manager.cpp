@@ -32,17 +32,6 @@ JobPtr JobManager::pop_locked() {
   return job;
 }
 
-void JobManager::requeue(JobPtr job) {
-  std::lock_guard<std::mutex> lock(mu_);
-  running_.erase(job->id);
-  ++counts_.requeues;
-  if (shutdown_) return;
-  // Front of its level: a worker crash must not cost the job its turn.
-  queue_[job->req.priority].push_front(std::move(job));
-  ++queued_;
-  cv_.notify_one();
-}
-
 void JobManager::finish(const JobPtr& job, JobState final_state, std::uint64_t now_ms) {
   std::lock_guard<std::mutex> lock(mu_);
   running_.erase(job->id);

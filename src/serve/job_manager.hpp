@@ -2,12 +2,11 @@
 //
 // The JobManager owns the bounded priority queue between the connection I/O
 // thread (producer: submit / cancel / expire) and the resident worker pool
-// (consumer: pop / requeue / finish). Admission control is a hard capacity
-// bound — a submit against a full queue is rejected immediately rather than
-// buffered, so a flood of jobs degrades into fast rejections instead of
-// unbounded memory growth. Scheduling is strict priority with FIFO within a
-// priority level; a requeued job (worker death) re-enters at the *front* of
-// its level so a crash never costs a job its place in line.
+// (consumer: pop / finish). Admission control is a hard capacity bound — a
+// submit against a full queue is rejected immediately rather than buffered,
+// so a flood of jobs degrades into fast rejections instead of unbounded
+// memory growth. Scheduling is strict priority with FIFO within a priority
+// level.
 //
 // Deadlines and cancellation are cooperative: a queued job is simply removed;
 // a running job has its stop flag raised and the engine (GbConfig::stop)
@@ -45,15 +44,13 @@ struct Job {
 
   std::uint64_t submit_ms = 0;    ///< steady-clock ms at admission
   std::uint64_t deadline_ms = 0;  ///< absolute steady-clock ms; 0 = none
-  std::uint64_t start_ms = 0;     ///< last attempt's start
-  std::uint32_t attempt = 0;      ///< execution attempts so far
+  std::uint64_t start_ms = 0;     ///< when a worker picked it up; 0 = never
 
   std::atomic<bool> stop{false};  ///< cancel/deadline signal to the engine
   /// Why stop was raised: 0 = not raised, 1 = client cancel, 2 = deadline.
   /// First writer wins (CAS from 0), so a cancel racing a deadline yields
   /// one coherent terminal state.
   std::atomic<std::uint8_t> stop_reason{0};
-  std::atomic<std::uint32_t> progress_permille{0};
 
   /// Raise the stop flag with a reason; returns true if this call won.
   bool raise_stop(std::uint8_t reason) {
@@ -81,9 +78,6 @@ class JobManager {
   /// dequeue the highest-priority oldest job. Returns nullptr on shutdown.
   JobPtr pop();
 
-  /// Worker died mid-job: put it back at the front of its priority level.
-  void requeue(JobPtr job);
-
   /// Record a terminal transition: drop from the running set, bump the
   /// counter for `final_state`, record wait/exec latencies.
   void finish(const JobPtr& job, JobState final_state, std::uint64_t now_ms);
@@ -95,7 +89,7 @@ class JobManager {
   /// Find a running job owned by (conn, token); nullptr if none.
   JobPtr find_running(std::uint64_t conn_id, std::uint64_t token) const;
 
-  /// Snapshot of the running set (the progress ticker's iteration source).
+  /// Snapshot of the running set (the heartbeat's iteration source).
   std::vector<JobPtr> running_jobs() const;
 
   /// Reaper: remove and return queued jobs whose deadline has passed, and
@@ -127,10 +121,10 @@ class JobManager {
   std::map<std::uint32_t, std::deque<JobPtr>, std::greater<std::uint32_t>> queue_;
   std::size_t queued_ = 0;
   std::unordered_map<std::uint64_t, JobPtr> running_;  ///< by job id
-  /// The job counters live in their wire message (submitted .. requeues).
+  /// The job counters live in their wire message (submitted .. timed_out).
   ServerStatsMsg counts_;
-  LogHistogram queue_wait_ms_;  ///< admission -> first execution start
-  LogHistogram exec_ms_;        ///< final attempt start -> terminal
+  LogHistogram queue_wait_ms_;  ///< admission -> execution start
+  LogHistogram exec_ms_;        ///< execution start -> terminal
 };
 
 }  // namespace gbd

@@ -18,11 +18,9 @@
 #include <unordered_set>
 
 #include "bigint/zp.hpp"
-#include "gb/parallel.hpp"
 #include "gb/sequential.hpp"
 #include "gb/verify.hpp"
 #include "net/frame.hpp"
-#include "net/transport.hpp"
 #include "obs/flight_recorder.hpp"
 #include "problems/problems.hpp"
 #include "serve/canonical.hpp"
@@ -30,6 +28,10 @@
 namespace gbd {
 
 namespace {
+
+/// Milliseconds between I/O-loop ticks: deadline reaping and the kRunning
+/// heartbeat to subscribed clients.
+constexpr int kTickMs = 25;
 
 std::uint64_t steady_ms() {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -103,6 +105,10 @@ struct JobServer::Impl {
   // ---- lifecycle ----------------------------------------------------------
 
   bool start(std::string* err) {
+    if (cfg.workers == 0) {
+      if (err) *err = "workers must be at least 1";
+      return false;
+    }
     listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd < 0) {
       if (err) *err = "socket: " + std::string(std::strerror(errno));
@@ -158,9 +164,10 @@ struct JobServer::Impl {
     if (!started) return;
     started = false;
     stopping.store(true);
-    // Stop whatever is running, then wake the pool so it sees the shutdown.
-    for (const JobPtr& j : jm.running_jobs()) j->raise_stop(1);
+    // Close the queue first so no worker picks up another job, then stop
+    // whatever is running; every running job honours its stop flag.
     jm.shutdown();
+    for (const JobPtr& j : jm.running_jobs()) j->raise_stop(1);
     for (std::thread& t : worker_threads) t.join();
     worker_threads.clear();
     wake();
@@ -198,10 +205,7 @@ struct JobServer::Impl {
         fds.push_back({c->fd, ev, 0});
         order.push_back(c.get());
       }
-      int timeout = cfg.progress_interval_ms > 0 && cfg.progress_interval_ms < 25
-                        ? cfg.progress_interval_ms
-                        : 25;
-      ::poll(fds.data(), fds.size(), timeout);
+      ::poll(fds.data(), fds.size(), kTickMs);
       if (stopping.load()) break;
 
       if (fds[1].revents & POLLIN) {
@@ -215,10 +219,10 @@ struct JobServer::Impl {
       }
 
       std::uint64_t now = steady_ms();
-      if (now - last_tick >= static_cast<std::uint64_t>(timeout)) {
+      if (now - last_tick >= static_cast<std::uint64_t>(kTickMs)) {
         last_tick = now;
         reap(now);
-        progress_tick();
+        heartbeat();
       }
       drain_outgoing();
       for (auto& [id, c] : conns) {
@@ -418,7 +422,7 @@ struct JobServer::Impl {
     }
   }
 
-  void progress_tick() {
+  void heartbeat() {
     for (const JobPtr& j : jm.running_jobs()) {
       if (j->req.subscribe) post_event(j, JobState::kRunning, "");
     }
@@ -454,16 +458,11 @@ struct JobServer::Impl {
   }
 
   void execute(int widx, const JobPtr& job) {
-    ++job->attempt;
     job->start_ms = steady_ms();
     if (job->req.subscribe)
       post_event(job, JobState::kRunning, "worker " + std::to_string(widx));
 
     try {
-      // The fault seam fires before the cache: a dying rank takes the job
-      // down with it whether or not the answer was already known.
-      if (cfg.fault_hook) cfg.fault_hook(*job);
-
       CacheEntry hit;
       if (cache.lookup(job->cache_key, job->req.want_cert, &hit)) {
         job->result.cache_hit = true;
@@ -475,42 +474,13 @@ struct JobServer::Impl {
         return;
       }
 
-      GbConfig gb = cfg.gb;
+      GbConfig gb;
       gb.stop = &job->stop;
       gb.coeff = job->req.zp_prime != 0 ? CoeffOptions::zp(job->req.zp_prime)
                                         : CoeffOptions::exact();
+      SequentialResult res = groebner_sequential(job->canon.sys, gb);
 
-      std::vector<Polynomial> basis;
-      GbStats stats;
-      bool aborted = false;
-      if (cfg.backend == ServeBackend::kSequential) {
-        SequentialResult res = groebner_sequential(job->canon.sys, gb);
-        basis = std::move(res.basis);
-        stats = res.stats;
-        aborted = res.aborted;
-      } else {
-        ParallelConfig pcfg;
-        pcfg.gb = gb;
-        pcfg.gb.stop = nullptr;  // the parallel engines run to completion
-        pcfg.nprocs = cfg.backend_procs;
-        Telemetry tele;
-        pcfg.telemetry = &tele;
-        Job* jp = job.get();
-        tele.set_on_update([jp](const TelemetryAggregator& agg) {
-          auto pm = static_cast<std::uint32_t>(agg.progress() * 1000.0);
-          std::uint32_t cur = jp->progress_permille.load();
-          while (pm > cur && !jp->progress_permille.compare_exchange_weak(cur, pm)) {
-          }
-        });
-        ParallelResult res = cfg.backend == ServeBackend::kSim
-                                 ? groebner_parallel(job->canon.sys, pcfg)
-                                 : groebner_parallel_threads(job->canon.sys, pcfg);
-        basis = std::move(res.basis);
-        stats = res.stats;
-        aborted = res.aborted;
-      }
-
-      if (aborted) {
+      if (res.aborted) {
         std::uint8_t reason = job->stop_reason.load();
         job->result.error = reason == 1 ? "cancelled" : "deadline expired while running";
         finish_job(job, reason == 1 ? JobState::kCancelled
@@ -518,13 +488,13 @@ struct JobServer::Impl {
         return;
       }
 
-      job->result.spolys = stats.spolys_computed;
-      job->result.basis_added = stats.basis_added;
+      job->result.spolys = res.stats.spolys_computed;
+      job->result.basis_added = res.stats.basis_added;
       bool verified = false;
       if (job->req.want_cert) {
         std::string why;
-        verified = verify_groebner_result(job->canon.sys.ctx, job->canon.sys.polys, basis, &why,
-                                          gb.coeff);
+        verified = verify_groebner_result(job->canon.sys.ctx, job->canon.sys.polys, res.basis,
+                                          &why, gb.coeff);
         if (!verified) {
           job->result.cert = 2;
           job->result.error = "certificate failed: " + why;
@@ -533,27 +503,14 @@ struct JobServer::Impl {
         }
         job->result.cert = 1;
       }
+      render_basis(job, res.basis);
       CacheEntry entry;
-      entry.basis = basis;
-      entry.spolys = stats.spolys_computed;
-      entry.basis_added = stats.basis_added;
+      entry.basis = std::move(res.basis);
+      entry.spolys = res.stats.spolys_computed;
+      entry.basis_added = res.stats.basis_added;
       entry.verified = verified;
       cache.insert(job->cache_key, std::move(entry));
-      render_basis(job, basis);
       finish_job(job, JobState::kDone);
-    } catch (const NetError& e) {
-      // A rank under this worker died mid-job. Record the post-mortem, then
-      // requeue — the job must survive the crash, the daemon always does.
-      std::string reason = "serve worker " + std::to_string(widx) +
-                           " lost a rank mid-job: " + e.what();
-      FlightRecorder::instance().dump_now(reason.c_str());
-      if (job->attempt >= cfg.max_attempts) {
-        job->result.error = "attempts exhausted: " + std::string(e.what());
-        finish_job(job, JobState::kFailed);
-      } else {
-        if (job->req.subscribe) post_event(job, JobState::kRequeued, e.what());
-        jm.requeue(job);
-      }
     } catch (const std::exception& e) {
       job->result.error = e.what();
       finish_job(job, JobState::kFailed);
@@ -573,7 +530,6 @@ struct JobServer::Impl {
     std::uint64_t now = steady_ms();
     std::uint64_t started = job->start_ms != 0 ? job->start_ms : now;
     job->result.status = st;
-    job->result.attempts = job->attempt;
     job->result.queue_wait_ms = started - job->submit_ms;
     job->result.exec_ms = now >= started ? now - started : 0;
     jm.finish(job, st, now);
@@ -587,9 +543,7 @@ struct JobServer::Impl {
     e.token = job->req.token;
     e.job_id = job->id;
     e.state = st;
-    e.progress_permille = job->progress_permille.load();
     e.queue_depth = static_cast<std::uint32_t>(jm.depth());
-    e.attempt = job->attempt;
     e.note = std::move(note);
     Writer w;
     e.encode(w);
@@ -616,7 +570,6 @@ struct JobServer::Impl {
     m.cache_entries = cs.entries;
     m.cache_evictions = cs.evictions;
     m.workers = cfg.workers;
-    m.backend = cfg.backend;
     m.paused = paused.load();
     return m;
   }

@@ -10,33 +10,27 @@
 //   - One I/O thread owns every socket: it accepts connections, decodes
 //     frames, performs admission (parse, validate, canonicalize, enqueue)
 //     and is the only writer to any connection. It doubles as the reaper
-//     (deadline expiry) and the progress ticker.
-//   - `workers` worker threads block on JobManager::pop and execute jobs on
-//     the configured backend (sequential engine, or GL-P via a per-job
-//     Sim/Thread machine through the groebner_parallel_machine seam).
+//     (deadline expiry) and the running-job heartbeat.
+//   - `workers` worker threads block on JobManager::pop and run each job on
+//     groebner_sequential with the job's coefficient field and stop flag,
+//     so cancel, deadline and stop() reach every running job.
 //     Workers never touch sockets: results and events go through a locked
 //     outgoing queue and a self-pipe wakes the I/O thread to flush them.
 //
 // Failure semantics:
-//   - A worker whose backend raises NetError mid-job (a dead rank — or the
-//     fault_hook test seam simulating one) dumps a flight record naming the
-//     rank, then requeues the job at the front of its priority level; after
-//     max_attempts the job fails instead. The daemon itself never dies with
-//     a job.
-//   - Exactly one kJobResult is sent per admitted token; requeues emit
-//     kJobEvent transitions, never a second result. A disconnected client's
-//     jobs are cancelled (queued) or stopped (running) and their results
-//     discarded.
+//   - A job whose engine throws fails with the exception's message; it is
+//     never retried. The daemon itself never dies with a job.
+//   - Exactly one kJobResult is sent per admitted token. A disconnected
+//     client's jobs are cancelled (queued) or stopped (running) and their
+//     results discarded.
 //   - Hostile bytes (bad frame, bad payload, oversized submit) drop that
 //     connection with a diagnostic; they never crash the daemon.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
-#include "gb/engine_common.hpp"
 #include "serve/cache.hpp"
 #include "serve/job_manager.hpp"
 #include "serve/wire.hpp"
@@ -46,12 +40,8 @@ namespace gbd {
 struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; JobServer::port() after start
-  std::uint32_t workers = 2;
-  ServeBackend backend = ServeBackend::kSequential;
-  /// Logical processors per job for the kSim / kThread backends.
-  int backend_procs = 4;
+  std::uint32_t workers = 2;  ///< must be >= 1; start() refuses 0
   std::size_t queue_capacity = 1024;  ///< admission bound; beyond it: kRejected
-  std::uint32_t max_attempts = 3;     ///< executions before a dying job fails
   std::size_t cache_capacity = 256;   ///< result-cache entries (0 disables)
   std::uint64_t default_deadline_ms = 0;  ///< applied when a submit says 0; 0 = none
   std::uint32_t max_payload = 1u << 20;   ///< per-frame bound on client bytes
@@ -62,14 +52,6 @@ struct ServerConfig {
   bool start_paused = false;
   /// Arm the crash flight recorder at this path (empty = leave unarmed).
   std::string flight_path;
-  /// Milliseconds between kJobEvent progress pushes for subscribed jobs.
-  int progress_interval_ms = 50;
-  /// Base engine options for every job (coeff/stop are overridden per job).
-  GbConfig gb;
-  /// Test seam: called on a worker thread right before each execution
-  /// attempt; may throw NetError to simulate that worker's rank dying
-  /// mid-job (the chaos drill). Never set in production.
-  std::function<void(const Job&)> fault_hook;
 };
 
 class JobServer {
@@ -81,7 +63,7 @@ class JobServer {
   JobServer& operator=(const JobServer&) = delete;
 
   /// Bind + listen, spawn the I/O thread and the worker pool.
-  /// Returns false with *err on bind failure.
+  /// Returns false with *err when cfg.workers is 0 or the bind fails.
   bool start(std::string* err = nullptr);
 
   /// Stop accepting, cancel queued jobs, stop running jobs, join threads.

@@ -6,7 +6,6 @@ const char* job_state_name(JobState s) {
   switch (s) {
     case JobState::kQueued: return "queued";
     case JobState::kRunning: return "running";
-    case JobState::kRequeued: return "requeued";
     case JobState::kDone: return "done";
     case JobState::kFailed: return "failed";
     case JobState::kCancelled: return "cancelled";
@@ -20,7 +19,6 @@ bool job_state_terminal(JobState s) {
   switch (s) {
     case JobState::kQueued:
     case JobState::kRunning:
-    case JobState::kRequeued:
       return false;
     case JobState::kDone:
     case JobState::kFailed:
@@ -32,14 +30,17 @@ bool job_state_terminal(JobState s) {
   return true;
 }
 
-const char* serve_backend_name(ServeBackend b) {
-  switch (b) {
-    case ServeBackend::kSequential: return "sequential";
-    case ServeBackend::kSim: return "sim";
-    case ServeBackend::kThread: return "thread";
-  }
-  return "?";
+namespace {
+
+/// Decode a JobState wire byte; false for the retired value 2 and for
+/// anything past the last state.
+bool decode_state(std::uint8_t s, JobState* out) {
+  if (s == 2 || s > static_cast<std::uint8_t>(JobState::kRejected)) return false;
+  *out = static_cast<JobState>(s);
+  return true;
 }
+
+}  // namespace
 
 bool SafeReader::need(std::size_t n) {
   if (!ok_ || size_ - pos_ < n) {
@@ -108,21 +109,15 @@ void JobEventMsg::encode(Writer& w) const {
   w.u64(token);
   w.u64(job_id);
   w.u8(static_cast<std::uint8_t>(state));
-  w.u32(progress_permille);
   w.u32(queue_depth);
-  w.u32(attempt);
   w.str(note);
 }
 
 bool JobEventMsg::decode(SafeReader& r, JobEventMsg* out) {
   out->token = r.u64();
   out->job_id = r.u64();
-  std::uint8_t s = r.u8();
-  if (s > static_cast<std::uint8_t>(JobState::kRejected)) return false;
-  out->state = static_cast<JobState>(s);
-  out->progress_permille = r.u32();
+  if (!decode_state(r.u8(), &out->state)) return false;
   out->queue_depth = r.u32();
-  out->attempt = r.u32();
   out->note = r.str();
   return r.done();
 }
@@ -132,7 +127,6 @@ void JobResultMsg::encode(Writer& w) const {
   w.u64(job_id);
   w.u8(static_cast<std::uint8_t>(status));
   w.u8(static_cast<std::uint8_t>((cache_hit ? 1 : 0) | (cert << 1)));
-  w.u32(attempts);
   w.u64(queue_wait_ms);
   w.u64(exec_ms);
   w.u64(spolys);
@@ -145,13 +139,10 @@ void JobResultMsg::encode(Writer& w) const {
 bool JobResultMsg::decode(SafeReader& r, JobResultMsg* out) {
   out->token = r.u64();
   out->job_id = r.u64();
-  std::uint8_t s = r.u8();
-  if (s > static_cast<std::uint8_t>(JobState::kRejected)) return false;
-  out->status = static_cast<JobState>(s);
+  if (!decode_state(r.u8(), &out->status)) return false;
   std::uint8_t flags = r.u8();
   out->cache_hit = (flags & 1) != 0;
   out->cert = static_cast<std::uint8_t>(flags >> 1);
-  out->attempts = r.u32();
   out->queue_wait_ms = r.u64();
   out->exec_ms = r.u64();
   out->spolys = r.u64();
@@ -172,7 +163,6 @@ void ServerStatsMsg::encode(Writer& w) const {
   w.u64(failed);
   w.u64(cancelled);
   w.u64(timed_out);
-  w.u64(requeues);
   w.u64(queue_depth);
   w.u64(running);
   w.u64(cache_hits);
@@ -184,7 +174,6 @@ void ServerStatsMsg::encode(Writer& w) const {
   w.u64(exec_p50_ms);
   w.u64(exec_p99_ms);
   w.u32(workers);
-  w.u8(static_cast<std::uint8_t>(backend));
   w.u8(paused ? 1 : 0);
 }
 
@@ -195,7 +184,6 @@ bool ServerStatsMsg::decode(SafeReader& r, ServerStatsMsg* out) {
   out->failed = r.u64();
   out->cancelled = r.u64();
   out->timed_out = r.u64();
-  out->requeues = r.u64();
   out->queue_depth = r.u64();
   out->running = r.u64();
   out->cache_hits = r.u64();
@@ -207,9 +195,6 @@ bool ServerStatsMsg::decode(SafeReader& r, ServerStatsMsg* out) {
   out->exec_p50_ms = r.u64();
   out->exec_p99_ms = r.u64();
   out->workers = r.u32();
-  std::uint8_t b = r.u8();
-  if (b > static_cast<std::uint8_t>(ServeBackend::kThread)) return false;
-  out->backend = static_cast<ServeBackend>(b);
   out->paused = r.u8() != 0;
   return r.done();
 }

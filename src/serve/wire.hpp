@@ -3,7 +3,7 @@
 // A gbd_client connection to the gbd_serve daemon is one TCP stream of GBDF
 // frames (net/frame.hpp): the client sends kJobSubmit / kJobCancel /
 // kServerStats requests, the server streams back kJobEvent state
-// transitions and progress pushes, exactly one kJobResult per submitted
+// transitions and running heartbeats, exactly one kJobResult per submitted
 // token, and kServerStats replies. There is no reliability layer on this
 // channel — a single ordered TCP stream is the delivery guarantee, and a
 // broken stream simply orphans the connection's jobs.
@@ -22,13 +22,13 @@
 
 namespace gbd {
 
-/// Job lifecycle states. Wire values; append only.
+/// Job lifecycle states. Wire values; append only. Value 2 is retired: no
+/// state uses it, and every decoder rejects it.
 enum class JobState : std::uint8_t {
   kQueued = 0,    ///< admitted, waiting in the priority queue
   kRunning = 1,   ///< a worker is executing it
-  kRequeued = 2,  ///< worker died mid-job; back in the queue for another attempt
   kDone = 3,      ///< terminal: basis computed (and verified when requested)
-  kFailed = 4,    ///< terminal: parse error, certificate failure, attempts exhausted
+  kFailed = 4,    ///< terminal: the engine threw, or the certificate failed
   kCancelled = 5, ///< terminal: client cancel honored
   kTimedOut = 6,  ///< terminal: deadline elapsed (queued or running)
   kRejected = 7,  ///< terminal: admission control refused it (queue full, bad spec)
@@ -36,16 +36,6 @@ enum class JobState : std::uint8_t {
 
 const char* job_state_name(JobState s);
 bool job_state_terminal(JobState s);
-
-/// How the daemon executes jobs (the groebner_parallel_machine seam).
-enum class ServeBackend : std::uint8_t {
-  kSequential = 0,  ///< groebner_sequential per worker thread (fastest for small jobs;
-                    ///< supports cooperative cancel/deadline via GbConfig::stop)
-  kSim = 1,         ///< GL-P on a per-job SimMachine (deterministic; telemetry progress)
-  kThread = 2,      ///< GL-P on a per-job ThreadMachine (telemetry progress)
-};
-
-const char* serve_backend_name(ServeBackend b);
 
 /// Bounds-checked payload reader that reports failure instead of aborting.
 /// Mirrors Reader's call sequence API; after any failed read, ok() is false
@@ -77,7 +67,7 @@ struct SubmitRequest {
   std::uint64_t token = 0;       ///< client-chosen; unique per connection
   std::uint32_t priority = 0;    ///< higher runs earlier (FIFO within a priority)
   std::uint64_t deadline_ms = 0; ///< relative to submission; 0 = server default
-  bool subscribe = false;        ///< stream kJobEvent progress pushes
+  bool subscribe = false;        ///< stream kJobEvent state changes and heartbeats
   bool want_cert = false;        ///< server verifies the Gröbner certificate
   std::uint8_t source = 0;       ///< 0 = inline system text, 1 = built-in problem name
   std::string problem;           ///< text (source 0) or name (source 1)
@@ -92,9 +82,7 @@ struct JobEventMsg {
   std::uint64_t token = 0;
   std::uint64_t job_id = 0;
   JobState state = JobState::kQueued;
-  std::uint32_t progress_permille = 0;  ///< monotone estimate (telemetry-backed)
-  std::uint32_t queue_depth = 0;        ///< server queue depth when the event fired
-  std::uint32_t attempt = 0;
+  std::uint32_t queue_depth = 0;  ///< server queue depth when the event fired
   std::string note;
 
   void encode(Writer& w) const;
@@ -108,7 +96,6 @@ struct JobResultMsg {
   JobState status = JobState::kDone;  ///< terminal state
   bool cache_hit = false;
   std::uint8_t cert = 0;  ///< 0 = not requested, 1 = verified, 2 = verification failed
-  std::uint32_t attempts = 0;
   std::uint64_t queue_wait_ms = 0;
   std::uint64_t exec_ms = 0;
   std::uint64_t spolys = 0;
@@ -128,7 +115,6 @@ struct ServerStatsMsg {
   std::uint64_t failed = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t timed_out = 0;
-  std::uint64_t requeues = 0;
   std::uint64_t queue_depth = 0;
   std::uint64_t running = 0;
   std::uint64_t cache_hits = 0;
@@ -140,7 +126,6 @@ struct ServerStatsMsg {
   std::uint64_t exec_p50_ms = 0;
   std::uint64_t exec_p99_ms = 0;
   std::uint32_t workers = 0;
-  ServeBackend backend = ServeBackend::kSequential;
   bool paused = false;
 
   void encode(Writer& w) const;

@@ -1,6 +1,6 @@
 // End-to-end tests for the GB-as-a-service daemon: submission, scheduling,
-// admission control, cancellation, deadlines, the kill-a-worker chaos drill,
-// progress streaming and the exactly-one-result contract.
+// admission control, cancellation, deadlines, shutdown of running jobs and
+// the exactly-one-result contract.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -10,13 +10,9 @@
 #include <arpa/inet.h>
 #include <unistd.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <chrono>
 #include <thread>
 
-#include "net/transport.hpp"
-#include "obs/flight_recorder.hpp"
 #include "serve/client.hpp"
 
 namespace gbd {
@@ -338,106 +334,41 @@ TEST(ServeTest, DeadlinesExpireQueuedAndRunningJobs) {
   EXPECT_EQ(server->stats().timed_out, 2u);
 }
 
-TEST(ServeTest, ChaosDrillWorkerDeathRequeuesAndCompletes) {
-  std::string flight = "/tmp/gbd_serve_chaos_flight.json";
-  std::remove(flight.c_str());
-
-  ServerConfig cfg;
-  cfg.workers = 2;
-  cfg.max_attempts = 3;
-  cfg.flight_path = flight;
-  // Kill the first execution attempt of token 42's job, as if the worker's
-  // rank died mid-computation; later attempts survive.
-  cfg.fault_hook = [](const Job& job) {
-    if (job.req.token == 42 && job.attempt == 1)
-      throw NetError("rank 1 timed out mid-reduction (injected)");
-  };
-  auto server = start_server(std::move(cfg));
-  ServeClient client = connect_to(*server);
-
-  SubmitRequest req = named_job(42, "katsura(4)");
-  req.subscribe = true;
-  req.want_cert = true;
-  ASSERT_TRUE(client.submit(req));
-
-  bool requeued_seen = false;
-  int results = 0;
-  JobResultMsg res;
-  ASSERT_TRUE(client.wait_result(42, &res, kWaitMs, [&](const JobEventMsg& e) {
-    if (e.state == JobState::kRequeued) requeued_seen = true;
-  }));
-  ++results;
-  // The job survived the worker death: completed, verified, on attempt 2.
-  EXPECT_EQ(res.status, JobState::kDone) << res.error;
-  EXPECT_EQ(res.cert, 1);
-  EXPECT_EQ(res.attempts, 2u);
-  EXPECT_TRUE(requeued_seen);
-  EXPECT_EQ(server->stats().requeues, 1u);
-
-  // Zero lost, zero duplicated: no further result arrives for this token.
-  ClientUpdate u;
-  EXPECT_EQ(client.poll(&u, 300), 0);
-  EXPECT_EQ(results, 1);
-
-  // The flight recorder captured the death and names the dead rank.
-  std::ifstream in(flight);
-  ASSERT_TRUE(in.good()) << "no flight record at " << flight;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  EXPECT_NE(ss.str().find("rank 1"), std::string::npos) << ss.str();
-  FlightRecorder::instance().disarm();
-  std::remove(flight.c_str());
-}
-
-TEST(ServeTest, AttemptsExhaustedFailsCleanly) {
+TEST(ServeTest, StopInterruptsRunningJob) {
   ServerConfig cfg;
   cfg.workers = 1;
-  cfg.max_attempts = 2;
-  cfg.fault_hook = [](const Job& job) {
-    if (job.req.token == 13) throw NetError("rank 2 lost (injected, every attempt)");
-  };
   auto server = start_server(std::move(cfg));
   ServeClient client = connect_to(*server);
 
-  ASSERT_TRUE(client.submit(named_job(13, "katsura(3)")));
-  JobResultMsg res;
-  ASSERT_TRUE(client.wait_result(13, &res, kWaitMs));
-  EXPECT_EQ(res.status, JobState::kFailed);
-  EXPECT_NE(res.error.find("attempts exhausted"), std::string::npos);
-  EXPECT_EQ(res.attempts, 2u);
-
-  // The daemon survives and serves the next job.
-  ASSERT_TRUE(client.submit(named_job(14, "katsura(3)")));
-  ASSERT_TRUE(client.wait_result(14, &res, kWaitMs));
-  EXPECT_EQ(res.status, JobState::kDone);
+  // cyclic(7) runs far longer than the bound below; stop() must reach it
+  // through its stop flag instead of joining a worker that runs to the end.
+  SubmitRequest heavy = named_job(1, "cyclic(7)");
+  heavy.subscribe = true;
+  ASSERT_TRUE(client.submit(heavy));
+  bool running_seen = false;
+  while (!running_seen) {
+    ClientUpdate u;
+    ASSERT_GT(client.poll(&u, kWaitMs), 0);
+    ASSERT_NE(u.kind, ClientUpdate::Kind::kResult) << "finished before stop";
+    if (u.kind == ClientUpdate::Kind::kEvent && u.event.state == JobState::kRunning)
+      running_seen = true;
+  }
+  auto t0 = std::chrono::steady_clock::now();
+  server->stop();
+  auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, std::chrono::seconds(3));
+  EXPECT_EQ(server->stats().running, 0u);
+  EXPECT_EQ(server->stats().cancelled, 1u);
 }
 
-TEST(ServeTest, ProgressEventsStreamMonotonically) {
+TEST(ServeTest, StartRefusesZeroWorkers) {
+  // A pool of zero would bind and admit jobs that never run.
   ServerConfig cfg;
-  cfg.workers = 1;
-  cfg.backend = ServeBackend::kSim;  // deterministic telemetry-backed progress
-  cfg.backend_procs = 4;
-  cfg.progress_interval_ms = 5;
-  auto server = start_server(std::move(cfg));
-  ServeClient client = connect_to(*server);
-
-  // katsura(4) on the sim machine runs ~130ms: long enough for several
-  // telemetry ticks at a 5ms interval, short enough that server teardown
-  // (which must join the uncancellable sim job) stays fast.
-  SubmitRequest req = named_job(6, "katsura(4)");
-  req.subscribe = true;
-  ASSERT_TRUE(client.submit(req));
-  std::uint32_t last = 0;
-  int events = 0;
-  JobResultMsg res;
-  ASSERT_TRUE(client.wait_result(6, &res, kWaitMs, [&](const JobEventMsg& e) {
-    ++events;
-    EXPECT_GE(e.progress_permille, last) << "progress must never regress";
-    last = std::max(last, e.progress_permille);
-    EXPECT_LE(e.progress_permille, 1000u);
-  }));
-  EXPECT_EQ(res.status, JobState::kDone) << res.error;
-  EXPECT_GE(events, 2) << "expected at least queued+running events";
+  cfg.workers = 0;
+  JobServer server(std::move(cfg));
+  std::string err;
+  EXPECT_FALSE(server.start(&err));
+  EXPECT_NE(err.find("workers"), std::string::npos) << err;
 }
 
 TEST(ServeTest, ZpJobsComputeOverTheRequestedField) {
@@ -482,7 +413,6 @@ TEST(ServeTest, StatsOverTheWire) {
   EXPECT_EQ(s.done, 3u);
   EXPECT_EQ(s.workers, 2u);
   EXPECT_GE(s.cache_hits, 2u);  // identical submissions hit after the first
-  EXPECT_EQ(s.backend, ServeBackend::kSequential);
 }
 
 }  // namespace

@@ -30,7 +30,6 @@ JobResultMsg sample_result() {
   m.status = JobState::kDone;
   m.cache_hit = true;
   m.cert = 1;
-  m.attempts = 2;
   m.queue_wait_ms = 11;
   m.exec_ms = 22;
   m.spolys = 39;
@@ -60,20 +59,19 @@ TEST(ServeWireTest, EventRoundTrip) {
   JobEventMsg e;
   e.token = 3;
   e.job_id = 17;
-  e.state = JobState::kRequeued;
-  e.progress_permille = 431;
+  e.state = JobState::kRunning;
   e.queue_depth = 12;
-  e.attempt = 2;
-  e.note = "rank 1 died";
+  e.note = "worker 1";
   Writer w;
   e.encode(w);
   SafeReader r(w.data());
   JobEventMsg out;
   ASSERT_TRUE(JobEventMsg::decode(r, &out));
   EXPECT_EQ(out.token, e.token);
-  EXPECT_EQ(out.state, JobState::kRequeued);
-  EXPECT_EQ(out.progress_permille, 431u);
-  EXPECT_EQ(out.note, "rank 1 died");
+  EXPECT_EQ(out.job_id, e.job_id);
+  EXPECT_EQ(out.state, JobState::kRunning);
+  EXPECT_EQ(out.queue_depth, 12u);
+  EXPECT_EQ(out.note, "worker 1");
 }
 
 TEST(ServeWireTest, ResultRoundTrip) {
@@ -87,7 +85,6 @@ TEST(ServeWireTest, ResultRoundTrip) {
   EXPECT_EQ(out.status, JobState::kDone);
   EXPECT_TRUE(out.cache_hit);
   EXPECT_EQ(out.cert, 1);
-  EXPECT_EQ(out.attempts, 2u);
   EXPECT_EQ(out.basis, m.basis);
 }
 
@@ -95,12 +92,10 @@ TEST(ServeWireTest, StatsRoundTrip) {
   ServerStatsMsg s;
   s.submitted = 1000;
   s.done = 990;
-  s.requeues = 3;
   s.cache_hits = 500;
   s.wait_p99_ms = 250;
   s.exec_p50_ms = 12;
   s.workers = 8;
-  s.backend = ServeBackend::kThread;
   s.paused = true;
   Writer w;
   s.encode(w);
@@ -109,11 +104,9 @@ TEST(ServeWireTest, StatsRoundTrip) {
   ASSERT_TRUE(ServerStatsMsg::decode(r, &out));
   EXPECT_EQ(out.submitted, 1000u);
   EXPECT_EQ(out.done, 990u);
-  EXPECT_EQ(out.requeues, 3u);
   EXPECT_EQ(out.cache_hits, 500u);
   EXPECT_EQ(out.wait_p99_ms, 250u);
   EXPECT_EQ(out.workers, 8u);
-  EXPECT_EQ(out.backend, ServeBackend::kThread);
   EXPECT_TRUE(out.paused);
 }
 
@@ -161,15 +154,44 @@ TEST(ServeWireTest, MutatedPayloadsNeverCrash) {
   }
 }
 
+TEST(ServeWireTest, StateBytesOutsideJobStateAreRejected) {
+  // The state byte follows the token and job id in both messages. Only the
+  // JobState values decode; the retired value 2 and everything past
+  // kRejected do not, and a result also needs a terminal state.
+  auto is_state = [](int b) { return b <= 7 && b != 2; };
+  auto is_terminal = [](int b) { return b >= 3 && b <= 7; };
+  constexpr std::size_t kStateOffset = 16;
+
+  JobEventMsg e;
+  e.token = 3;
+  e.job_id = 17;
+  e.state = JobState::kRunning;
+  Writer we;
+  e.encode(we);
+  Writer wr;
+  sample_result().encode(wr);
+  for (int b = 0; b < 256; ++b) {
+    std::vector<std::uint8_t> ev = we.data();
+    ev[kStateOffset] = static_cast<std::uint8_t>(b);
+    SafeReader re(ev.data(), ev.size());
+    JobEventMsg eout;
+    EXPECT_EQ(JobEventMsg::decode(re, &eout), is_state(b)) << "event state byte " << b;
+
+    std::vector<std::uint8_t> rv = wr.data();
+    rv[kStateOffset] = static_cast<std::uint8_t>(b);
+    SafeReader rr(rv.data(), rv.size());
+    JobResultMsg rout;
+    EXPECT_EQ(JobResultMsg::decode(rr, &rout), is_terminal(b)) << "result state byte " << b;
+  }
+}
+
 TEST(ServeWireTest, StateNamesAndTerminality) {
   EXPECT_STREQ(job_state_name(JobState::kQueued), "queued");
   EXPECT_STREQ(job_state_name(JobState::kTimedOut), "timed-out");
   EXPECT_FALSE(job_state_terminal(JobState::kQueued));
   EXPECT_FALSE(job_state_terminal(JobState::kRunning));
-  EXPECT_FALSE(job_state_terminal(JobState::kRequeued));
   EXPECT_TRUE(job_state_terminal(JobState::kDone));
   EXPECT_TRUE(job_state_terminal(JobState::kRejected));
-  EXPECT_STREQ(serve_backend_name(ServeBackend::kSim), "sim");
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 //              [--cert] [--watch] [--print-basis] [--timeout-s T]
 //
 // `submit` sends N copies of the problem (distinct tokens), waits for every
-// result, prints one line per job and a summary. --watch subscribes to
-// kJobEvent progress pushes and prints them as they stream in. Exit 0 iff
+// result, prints one line per job and a summary. --watch subscribes to the
+// job's kJobEvent stream (state changes plus a periodic running heartbeat
+// with the queue depth) and prints each event as it arrives. Exit 0 iff
 // every job came back done.
 #include <cstdio>
 #include <cstdlib>
@@ -80,14 +81,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "gbd_client: stats request failed\n");
       return 1;
     }
-    std::printf("backend=%s workers=%u paused=%d\n", serve_backend_name(s.backend), s.workers,
-                s.paused ? 1 : 0);
+    std::printf("workers=%u paused=%d\n", s.workers, s.paused ? 1 : 0);
     std::printf("submitted=%llu rejected=%llu done=%llu failed=%llu cancelled=%llu "
-                "timed_out=%llu requeues=%llu\n",
+                "timed_out=%llu\n",
                 (unsigned long long)s.submitted, (unsigned long long)s.rejected,
                 (unsigned long long)s.done, (unsigned long long)s.failed,
-                (unsigned long long)s.cancelled, (unsigned long long)s.timed_out,
-                (unsigned long long)s.requeues);
+                (unsigned long long)s.cancelled, (unsigned long long)s.timed_out);
     std::printf("queue_depth=%llu running=%llu\n", (unsigned long long)s.queue_depth,
                 (unsigned long long)s.running);
     std::printf("cache: hits=%llu misses=%llu entries=%llu evictions=%llu\n",
@@ -137,10 +136,9 @@ int main(int argc, char** argv) {
   int ok = 0, bad = 0;
   auto on_event = [&](const JobEventMsg& e) {
     if (watch)
-      std::printf("job %llu token %llu: %s progress=%u.%u%% depth=%u attempt=%u %s\n",
-                  (unsigned long long)e.job_id, (unsigned long long)e.token,
-                  job_state_name(e.state), e.progress_permille / 10, e.progress_permille % 10,
-                  e.queue_depth, e.attempt, e.note.c_str());
+      std::printf("job %llu token %llu: %s depth=%u %s\n", (unsigned long long)e.job_id,
+                  (unsigned long long)e.token, job_state_name(e.state), e.queue_depth,
+                  e.note.c_str());
   };
   std::vector<bool> seen(static_cast<std::size_t>(count) + 1, false);
   std::uint64_t deadline = static_cast<std::uint64_t>(timeout_s) * 1000;
@@ -167,10 +165,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     seen[static_cast<std::size_t>(r.token)] = true;
-    std::printf("token %llu: %s%s cert=%u attempts=%u wait=%llums exec=%llums "
+    std::printf("token %llu: %s%s cert=%u wait=%llums exec=%llums "
                 "spolys=%llu basis=%zu%s%s\n",
                 (unsigned long long)r.token, job_state_name(r.status),
-                r.cache_hit ? " (cache hit)" : "", r.cert, r.attempts,
+                r.cache_hit ? " (cache hit)" : "", r.cert,
                 (unsigned long long)r.queue_wait_ms, (unsigned long long)r.exec_ms,
                 (unsigned long long)r.spolys, r.basis.size(), r.error.empty() ? "" : " error=",
                 r.error.c_str());

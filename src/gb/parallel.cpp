@@ -502,7 +502,8 @@ class GlpWorker {
     {
       TraceSpan sp(self_, Ev::kMatBuild, rows.size(), frame.ncols());
       CostScope cost;
-      mat = build_matrix(sys_.ctx, frame, rows, cfg_.gb.coeff, matrix_wants_runs(cfg_.gb.coeff));
+      mat = build_matrix(sys_.ctx, frame, rows, cfg_.gb.coeff,
+                         matrix_wants_simd_lanes(cfg_.gb.coeff));
       out_->stats.work_units += cost.elapsed();
     }
     EchelonOptions eopts;

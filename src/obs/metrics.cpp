@@ -97,7 +97,7 @@ void collect_kernel_delta(MetricsRegistry& reg, int proc, const KernelBaseline& 
   reg.add("kernel.simd.rows", proc, mk.simd_rows - base.matrix.simd_rows);
   reg.add("kernel.simd.scalar_rows", proc, mk.scalar_rows - base.matrix.scalar_rows);
   reg.add("kernel.simd.cells", proc, mk.simd_cells - base.matrix.simd_cells);
-  reg.add("kernel.simd.runs", proc, mk.simd_runs - base.matrix.simd_runs);
+  reg.add("kernel.simd.passes", proc, mk.simd_passes - base.matrix.simd_passes);
   reg.add("kernel.simd.sweep_ns", proc, mk.sweep_ns - base.matrix.sweep_ns);
   reg.add("kernel.matrix.interreduce_ns", proc, mk.interreduce_ns - base.matrix.interreduce_ns);
 }

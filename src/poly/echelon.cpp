@@ -23,7 +23,7 @@ struct SweepTally {
   std::uint64_t simd_rows = 0;
   std::uint64_t scalar_rows = 0;
   std::uint64_t simd_cells = 0;
-  std::uint64_t simd_runs = 0;
+  std::uint64_t simd_passes = 0;
   std::uint64_t cache_builds = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cost = 0;  // term-operation units this worker charged
@@ -47,27 +47,31 @@ void make_monic(const ZpField& field, ZpColRow* row) {
   CostCounter::charge(row->vals.size());
 }
 
-/// The nonzero cells of a swept accumulator (every cell canonical), monic.
-ZpColRow gather_monic(const ZpField& field, const std::vector<std::uint64_t>& acc) {
+/// The nonzero cells of a swept accumulator from column `from` on (every
+/// cell there canonical, every cell before it zero), monic. Zeroes the cells
+/// it reads, so the accumulator is all zero again for the next row.
+ZpColRow gather_monic(const ZpField& field, std::vector<std::uint64_t>* acc, std::size_t from) {
   ZpColRow out;
-  for (std::size_t c = 0; c < acc.size(); ++c) {
-    if (acc[c] == 0) continue;
+  for (std::size_t c = from; c < acc->size(); ++c) {
+    std::uint64_t& cell = (*acc)[c];
+    if (cell == 0) continue;
     out.cols.push_back(static_cast<std::uint32_t>(c));
-    out.vals.push_back(acc[c]);
+    out.vals.push_back(cell);
+    cell = 0;
   }
   make_monic(field, &out);
   return out;
 }
 
-/// Zp pivot sweep for one work row: dense accumulator of canonical residues,
-/// walked left to right from column `start`. A pivot's tail scatters
-/// strictly to the right of its head, so one pass clears every pivot column
-/// at or after `start`; cells before it keep their scattered values.
+/// Montgomery Zp pivot sweep for one work row (p ≥ 2^32): dense, all-zero
+/// accumulator of canonical residues, walked left to right from column
+/// `start`. A pivot's tail scatters strictly to the right of its head, so
+/// one pass clears every pivot column at or after `start`; cells before it
+/// keep their scattered values.
 ZpColRow sweep_row_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat,
                       const ZpField& field, const MatrixRow& row, std::size_t start,
                       std::vector<std::uint64_t>* acc, SweepTally* tally) {
   const std::size_t ncols = mat.ncols;
-  std::fill(acc->begin(), acc->end(), 0);
   for (std::size_t i = 0; i < row.nnz(); ++i) {
     (*acc)[row.cols[i]] = zp_residue_u64(row.coeffs[i]);
   }
@@ -90,60 +94,97 @@ ZpColRow sweep_row_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat,
   tally->dense_cells += ncols;
   tally->scalar_rows += 1;
   CostCounter::charge(ncols / 8 + 1);  // the column scan itself, amortized
-  return gather_monic(field, *acc);
+  return gather_monic(field, acc, row.cols[0]);
 }
 
-/// Vectorized Zp sweep: same left-to-right pass, but accumulator lanes hold
-/// arbitrary 64-bit values merely *congruent* mod p (delayed reduction; see
-/// poly/simd.hpp for the wrap-correction soundness argument). A cell is
-/// canonicalized exactly once — when the pass reaches its column and every
-/// contribution to it is in — so the value the pivot factor (and the output
-/// term) is read from is the same canonical residue the scalar kernel
-/// maintains throughout: the produced row is bit-identical. Eliminations
-/// stream the pivot's multiline runs (matrix.hpp) through the vector AXPY.
-/// Charged cost units match sweep_row_zp exactly — 1 + tail per
-/// elimination, ncols/8 + 1 per row — so virtual-time runs (SimMachine) are
-/// reproducible across hosts regardless of dispatch.
-ZpColRow sweep_row_zp_simd(const SymbolicFrame& frame, const MacaulayMatrix& mat,
-                           const ZpField& field, const MatrixRow& row, std::size_t start,
-                           SimdLevel level, std::vector<std::uint64_t>* acc,
-                           SweepTally* tally) {
+/// Up to kSweepLanes nonempty work rows and the slots their swept rows go to.
+struct SweepBlock {
+  const MatrixRow* rows[kSweepLanes] = {};
+  ZpColRow* out[kSweepLanes] = {};
+  std::size_t size = 0;
+};
+
+/// Zp block sweep (p < 2^32): the block's rows in one left-to-right pass
+/// over a lane-interleaved accumulator, cell (c, r) at acc[kSweepLanes·c + r],
+/// whose lanes hold 64-bit values merely *congruent* mod p (delayed
+/// reduction; see poly/simd.hpp). A cell at or right of its row's start is
+/// finalized (`% p`) exactly once, when the pass reaches its column and
+/// every contribution to it is in, so the pivot factor and the output term
+/// are the canonical residues the Montgomery kernel keeps throughout: every
+/// row is bit-identical to sweep_row_zp's. A pivot that any lane hits
+/// streams once per block, with factor 0 for the lanes it does not
+/// eliminate. The pass emits and zeroes each cell as it goes, so the
+/// accumulator starts and ends all zero. Charged units match sweep_row_zp
+/// row by row — the pivot length per elimination, ncols/8 + 1 per row —
+/// so virtual time (SimMachine) depends neither on dispatch nor on blocking.
+void sweep_block_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat, const ZpField& field,
+                    const SweepBlock& block, bool keep_heads, SimdLevel level,
+                    std::vector<std::uint64_t>* acc_vec, SweepTally* tally) {
+  constexpr std::size_t kL = kSweepLanes;
   const std::size_t ncols = mat.ncols;
   const std::uint64_t p = field.p();
   const std::uint64_t r64 = field.r_mod_p();
-  std::fill(acc->begin(), acc->end(), 0);
-  for (std::size_t i = 0; i < row.nnz(); ++i) {
-    (*acc)[row.cols[i]] = zp_residue_u64(row.coeffs[i]);
-  }
-  for (std::size_t c = start; c < ncols; ++c) {
-    std::uint64_t v = (*acc)[c];
-    if (v == 0) continue;
-    // Finalize the cell: one division, skipped when no elimination ever
-    // streamed into it (still canonical from the scatter).
-    std::uint64_t f = v < p ? v : v % p;
-    std::int32_t pv = frame.pivot_of_col[c];
-    if (pv < 0) {
-      (*acc)[c] = f;  // final: later eliminations only touch columns > c
-      continue;
+  std::uint64_t* acc = acc_vec->data();
+  // Scatter each row into its lane; [begin, end) bounds every live cell and
+  // grows as pivot tails stream further right.
+  std::size_t start[kL] = {};
+  std::size_t begin = ncols, end = 0;
+  for (std::size_t r = 0; r < block.size; ++r) {
+    const MatrixRow& row = *block.rows[r];
+    for (std::size_t i = 0; i < row.nnz(); ++i) {
+      acc[kL * row.cols[i] + r] = zp_residue_u64(row.coeffs[i]);
     }
-    (*acc)[c] = 0;  // the monic head cancels exactly
-    if (f == 0) continue;
-    const ZpPivotRuns& runs = mat.zp_runs[static_cast<std::size_t>(pv)];
-    const std::size_t nterms = frame.pivots[static_cast<std::size_t>(pv)].cols.size();
-    const std::uint64_t fneg = p - f;  // subtraction as lane addition
-    for (const ZpPivotRuns::Run& run : runs.runs) {
-      zp_axpy_delayed(acc->data() + run.col, runs.coeffs + run.off, run.len, fneg, r64, level);
-    }
-    tally->axpys += 1;
-    tally->simd_cells += nterms - 1;
-    tally->simd_runs += runs.runs.size();
-    // Identical unit charge to the scalar kernel's pivot length.
-    CostCounter::charge(nterms);
+    start[r] = row.cols[0] + (keep_heads ? 1 : 0);
+    begin = std::min<std::size_t>(begin, row.cols[0]);
+    end = std::max<std::size_t>(end, row.cols.back() + 1);
   }
-  tally->dense_cells += ncols;
-  tally->simd_rows += 1;
-  CostCounter::charge(ncols / 8 + 1);
-  return gather_monic(field, *acc);  // every cell finalized per column
+  std::uint64_t units = 0, cells = 0;
+  for (std::size_t c = begin; c < end; ++c) {
+    std::uint64_t* cell = acc + kL * c;
+    std::uint64_t any = 0;
+    for (std::size_t r = 0; r < kL; ++r) any |= cell[r];
+    if (any == 0) continue;
+    const std::int32_t pv = frame.pivot_of_col[c];
+    std::uint64_t fneg[kL] = {};
+    std::size_t hits = 0;
+    for (std::size_t r = 0; r < block.size; ++r) {
+      const std::uint64_t v = cell[r];
+      if (v == 0) continue;
+      cell[r] = 0;
+      const std::uint64_t f = v < p ? v : v % p;
+      if (f == 0) continue;
+      // Left of its start a lane holds only a kept head (canonical from the
+      // scatter); a non-pivot cell is final, since later eliminations only
+      // touch columns > c.
+      if (c < start[r] || pv < 0) {
+        block.out[r]->cols.push_back(static_cast<std::uint32_t>(c));
+        block.out[r]->vals.push_back(f);
+        continue;
+      }
+      fneg[r] = p - f;  // the monic head cancels exactly; subtract as lane addition
+      ++hits;
+    }
+    if (hits == 0) continue;
+    const std::size_t k = static_cast<std::size_t>(pv);
+    const std::vector<std::uint32_t>& pcols = frame.pivots[k].cols;
+    const std::size_t nterms = pcols.size();
+    zp_axpy_lanes(acc, pcols.data() + 1, mat.zp_pivots[k].canon + 1, nterms - 1, fneg, r64,
+                  level);
+    end = std::max<std::size_t>(end, pcols.back() + 1);
+    units += hits * nterms;
+    cells += hits * (nterms - 1);
+    tally->axpys += hits;
+  }
+  for (std::size_t r = 0; r < block.size; ++r) make_monic(field, block.out[r]);
+  CostCounter::charge(units + block.size * (ncols / 8 + 1));
+  tally->dense_cells += block.size * ncols;
+  if (level == SimdLevel::kAvx2) {
+    tally->simd_rows += block.size;
+    tally->simd_cells += cells;
+    tally->simd_passes += 1;
+  } else {
+    tally->scalar_rows += block.size;
+  }
 }
 
 /// row ← row − hc(row)·piv for a monic `piv` with the same head column,
@@ -337,16 +378,17 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
   const bool zp = opts.coeff.is_zp();
   ZpField field(zp ? opts.coeff.prime : 3);
 
-  // Dispatch, resolved once per matrix: the vector sweep needs the multiline
-  // pivot layout (only built for delayed-reduction-safe primes) and an
-  // actual vector unit; GBD_DISABLE_SIMD pins the oracle.
-  SimdLevel level = SimdLevel::kScalar;
-  if (zp && mat.has_runs) level = simd_level();
-  const bool use_simd = level != SimdLevel::kScalar;
+  // Dispatch, resolved once per matrix: every p < 2^32 takes the block
+  // sweep, on the AVX2 lanes when the matrix allows them and the host has
+  // them (GBD_DISABLE_SIMD pins the scalar lanes); larger primes take the
+  // Montgomery per-row sweep.
+  const bool blocks = zp && field.delayed_reduction_ok();
+  const SimdLevel level = mat.simd_lanes ? simd_level() : SimdLevel::kScalar;
 
-  // Stage 1: per-row pivot sweep, parallel across rows. Each worker owns its
-  // accumulator, exact-pivot cache and tally; slot i of `swept` (Zp) or
-  // `reduced` (exact) is written by exactly one worker.
+  // Stage 1: pivot sweep, parallel across rows. Each worker owns its
+  // accumulator, exact-pivot cache and tally, and forms its blocks from its
+  // own rows; slot i of `swept` (Zp) or `reduced` (exact) is written by
+  // exactly one worker.
   std::vector<ZpColRow> swept(zp ? nrows : 0);
   std::vector<Polynomial> reduced(zp ? 0 : nrows);
   std::size_t nthreads = std::max<std::size_t>(1, opts.nthreads);
@@ -357,23 +399,30 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
     SweepTally& tally = tallies[t];
     CostScope scope;
     std::vector<std::uint64_t> acc;
-    if (zp) acc.assign(mat.ncols, 0);
+    if (zp) acc.assign(blocks ? kSweepLanes * mat.ncols : mat.ncols, 0);
     ExactPivotCache cache;
     if (!zp) cache.resize(frame.pivots.size());
+    SweepBlock block;
     for (std::size_t i = t; i < nrows; i += nthreads) {
       const MatrixRow& row = mat.work_rows[i];
       if (row.empty()) continue;
-      // Every cell left of the head is zero, so a sweep may as well start
-      // at the head.
-      const std::size_t start = row.cols[0] + (keep_heads ? 1 : 0);
-      if (!zp) {
-        reduced[i] = sweep_row_exact(ctx, frame, row, &cache, &tally);
-      } else if (use_simd) {
-        swept[i] = sweep_row_zp_simd(frame, mat, field, row, start, level, &acc, &tally);
-      } else {
+      if (blocks) {
+        block.rows[block.size] = &row;
+        block.out[block.size] = &swept[i];
+        if (++block.size == kSweepLanes) {
+          sweep_block_zp(frame, mat, field, block, keep_heads, level, &acc, &tally);
+          block.size = 0;
+        }
+      } else if (zp) {
+        // Every cell left of the head is zero, so a sweep may as well start
+        // at the head.
+        const std::size_t start = row.cols[0] + (keep_heads ? 1 : 0);
         swept[i] = sweep_row_zp(frame, mat, field, row, start, &acc, &tally);
+      } else {
+        reduced[i] = sweep_row_exact(ctx, frame, row, &cache, &tally);
       }
     }
+    if (block.size > 0) sweep_block_zp(frame, mat, field, block, keep_heads, level, &acc, &tally);
     tally.cost = scope.elapsed();
   };
 
@@ -401,7 +450,7 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
     st.simd_rows += tally.simd_rows;
     st.scalar_rows += tally.scalar_rows;
     st.simd_cells += tally.simd_cells;
-    st.simd_runs += tally.simd_runs;
+    st.simd_passes += tally.simd_passes;
     st.pivot_cache_builds += tally.cache_builds;
     st.pivot_cache_hits += tally.cache_hits;
   }
@@ -464,7 +513,7 @@ EchelonOutput run_batch(const PolyContext& ctx, const std::vector<Polynomial>& r
                         SymbolicTable* table, bool keep_heads) {
   SymbolicFrame frame = symbolic_preprocess(ctx, rows, reducers, table);
   MacaulayMatrix mat =
-      build_matrix(ctx, frame, rows, opts.coeff, matrix_wants_runs(opts.coeff));
+      build_matrix(ctx, frame, rows, opts.coeff, matrix_wants_simd_lanes(opts.coeff));
   return echelon(ctx, frame, mat, opts, keep_heads);
 }
 

@@ -2,20 +2,21 @@
 //
 // Stage 1 — pivot sweep. Every work row is reduced against the (triangular)
 // pivot block independently, left to right over the columns, which makes the
-// stage embarrassingly parallel across rows:
-//   · Zp: the row scatters into a dense accumulator of canonical residues,
-//     and the sweep walks the columns left to right; eliminating a cell
-//     costs one REDC per pivot-row term (each reducer was made monic and
-//     Montgomery-converted once per run, by the run table — matrix.hpp).
-//     The swept row leaves as a monic sparse (column, residue) row. This is
-//     the GBLA-style dense tail over the sparse pivot structure. When the
-//     field admits delayed
-//     reduction (p < 2^32) and the CPU has AVX2, the sweep instead streams
-//     the pivot block's multiline runs through the vector AXPY of
-//     poly/simd.hpp — accumulator lanes stay merely *congruent* mod p and
-//     are canonicalized once per cell as its column is finalized. Dispatch
-//     never changes results or charged cost units (the scalar kernel is the
-//     differential oracle, selectable via GBD_DISABLE_SIMD).
+// stage embarrassingly parallel across rows (row i goes to worker i mod n):
+//   · Zp, p < 2^32: the block sweep. Each worker takes its nonempty rows
+//     kSweepLanes at a time and scatters them into one lane-interleaved
+//     accumulator (GBLA's multiline idea on the C block). One left-to-right
+//     pass finalizes each cell once (`% p`), and streams each pivot any lane
+//     hits once per block through the delayed-reduction lane AXPY of
+//     poly/simd.hpp, which leaves the lanes merely *congruent* mod p. Each
+//     reducer was made monic and converted once per run by the run table
+//     (matrix.hpp). Dispatch (AVX2 or scalar lanes) never changes results
+//     or charged cost units; the scalar lanes are the differential oracle,
+//     selectable via GBD_DISABLE_SIMD.
+//   · Zp, p ≥ 2^32: one row at a time in a dense accumulator of canonical
+//     residues; eliminating a cell costs one REDC per pivot-row term.
+//   Either way the swept row leaves as a monic sparse (column, residue) row:
+//   the GBLA-style dense tail over the sparse pivot structure.
 //   · exact: the row runs through the same geobucket accumulator as
 //     reduce_full, but reducer *lookup* is a frame-indexed array load instead
 //     of a divmask scan — the choice was fixed by symbolic preprocessing.

@@ -17,8 +17,9 @@
 //   · Zp pivot rows point at their reducer's monic coefficients, converted
 //     to residues and Montgomery form once per run and prime by the run
 //     table (SymbolicTable::zp_coeffs), so eliminating one work-row cell
-//     costs one REDC per pivot-row term with no per-use normalization, and
-//     building a matrix converts no coefficient a previous round converted.
+//     costs one lane update (p < 2^32) or one REDC per pivot-row term with
+//     no per-use normalization, and building a matrix converts no
+//     coefficient a previous round converted.
 #pragma once
 
 #include <cstdint>
@@ -42,30 +43,14 @@ struct MatrixRow {
 };
 
 /// A Zp pivot row for the elimination hot loop: the reducer's monic
-/// coefficients in Montgomery form, so `acc -= f·row` is one mul_canonical
-/// per term. The words are the run table's (SymbolicTable::zp_coeffs),
-/// shared by every product of the same reducer; term j sits at the
-/// product's PivotProduct::cols[j].
+/// coefficients, shared by every product of the same reducer through the
+/// run table (SymbolicTable::zp_coeffs); term j sits at the product's
+/// PivotProduct::cols[j]. Below 2^32 the block sweep (poly/simd.hpp) reads
+/// plain residues; at or above it the Montgomery sweep reads Montgomery
+/// words, so `acc -= f·row` is one mul_canonical per term.
 struct ZpPivotRow {
-  const std::uint64_t* mont = nullptr;
-};
-
-/// The same pivot row in GBLA-style "multiline" layout for the SIMD sweep
-/// (poly/simd.hpp): the tail's columns grouped into maximal consecutive
-/// runs. A run's payload is always a slice of the reducer's monic
-/// *canonical residues* (the delayed-reduction kernel multiplies plain
-/// residues, not Montgomery words), so a run records only where it lands
-/// and which terms it covers. The head term is never in a run — it cancels
-/// exactly against the swept cell. Only built when the field admits delayed
-/// reduction (p < 2^32).
-struct ZpPivotRuns {
-  struct Run {
-    std::uint32_t col;  ///< first column of the run
-    std::uint32_t off;  ///< index of its first term in the reducer (>= 1)
-    std::uint32_t len;  ///< consecutive columns covered
-  };
-  std::vector<Run> runs;
-  const std::uint32_t* coeffs = nullptr;  ///< the reducer's monic residues, term order
+  const std::uint64_t* mont = nullptr;   ///< meaningful only when p ≥ 2^32
+  const std::uint32_t* canon = nullptr;  ///< meaningful only when p < 2^32
 };
 
 struct MacaulayMatrix {
@@ -76,31 +61,27 @@ struct MacaulayMatrix {
   /// Zp mode only: the pivot block (A|B), parallel to frame.pivots.
   /// Exact mode leaves this empty and reads frame.pivots directly.
   std::vector<ZpPivotRow> zp_pivots;
-  /// Multiline mirror of zp_pivots for the SIMD sweep; parallel to
-  /// frame.pivots when has_runs, else empty (scalar dispatch, exact mode,
-  /// or p ≥ 2^32).
-  std::vector<ZpPivotRuns> zp_runs;
-  bool has_runs = false;
+  /// Whether the block sweep may dispatch its AVX2 lanes (simd_level()) for
+  /// this matrix; false pins it to the scalar lanes. Only ever true over Zp
+  /// with p < 2^32, where the block sweep runs at all.
+  bool simd_lanes = false;
 };
 
 /// Expand the batch rows (and, over Zp, the pivot products) onto the frame:
 /// a gather of the columns the frame recorded for their terms. `rows` must
 /// be the batch symbolic_preprocess was given. Zp rows must carry canonical
-/// residues (the engines' invariant form). `build_runs` additionally lays
-/// the pivot block out as multiline runs for the SIMD sweep (ignored unless
-/// the field admits delayed reduction); callers that know they will
-/// dispatch scalar skip it so the two kernels pay comparable build costs.
-/// Zp pivot rows alias the coefficients cached in frame.table, so the
-/// matrix must not outlive that table.
+/// residues (the engines' invariant form). `simd_lanes` lets the block
+/// sweep dispatch its AVX2 lanes (MacaulayMatrix::simd_lanes); it is
+/// ignored unless the field admits delayed reduction. Zp pivot rows alias
+/// the coefficients cached in frame.table, so the matrix must not outlive
+/// that table.
 MacaulayMatrix build_matrix(const PolyContext& ctx, const SymbolicFrame& frame,
                             const std::vector<Polynomial>& rows, const CoeffOptions& coeff,
-                            bool build_runs = false);
+                            bool simd_lanes = false);
 
-/// The `build_runs` every engine passes: lay out multiline runs only when
-/// the Zp sweep could dispatch to the vector kernel (poly/simd.hpp), so a
-/// scalar run (no AVX2, or GBD_DISABLE_SIMD) neither pays for nor is charged
-/// the extra build.
-bool matrix_wants_runs(const CoeffOptions& coeff);
+/// The `simd_lanes` every engine passes: true when the batch is over Zp and
+/// the host dispatches the vector kernel right now (poly/simd.hpp).
+bool matrix_wants_simd_lanes(const CoeffOptions& coeff);
 
 /// Convert a row back to a polynomial over the frame (no normalization).
 Polynomial row_to_poly(const PolyContext& ctx, const SymbolicFrame& frame, const MatrixRow& row);

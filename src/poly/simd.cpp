@@ -50,57 +50,67 @@ const char* simd_level_name(SimdLevel level) {
   return "?";
 }
 
-void zp_axpy_delayed_scalar(std::uint64_t* acc, const std::uint32_t* coeffs, std::size_t n,
-                            std::uint64_t fneg, std::uint64_t r64) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t prod = fneg * static_cast<std::uint64_t>(coeffs[i]);
-    std::uint64_t sum = acc[i] + prod;  // may wrap: unsigned, well-defined
-    if (sum < prod) sum += r64;         // wrap ⇒ sum < prod ≤ (p−1)², no second wrap
-    acc[i] = sum;
+namespace {
+
+void zp_axpy_lanes_scalar(std::uint64_t* acc, const std::uint32_t* cols,
+                          const std::uint32_t* coeffs, std::size_t n,
+                          const std::uint64_t fneg[kSweepLanes], std::uint64_t r64) {
+  for (std::size_t r = 0; r < kSweepLanes; ++r) {
+    const std::uint64_t f = fneg[r];
+    if (f == 0) continue;  // adding 0·coeff never wraps: the lane is unchanged
+    for (std::size_t j = 0; j < n; ++j) {
+      std::uint64_t& cell = acc[kSweepLanes * cols[j] + r];
+      const std::uint64_t prod = f * static_cast<std::uint64_t>(coeffs[j]);
+      std::uint64_t sum = cell + prod;  // may wrap: unsigned, well-defined
+      if (sum < prod) sum += r64;       // wrap ⇒ sum < prod ≤ (p−1)², no second wrap
+      cell = sum;
+    }
   }
 }
 
 #ifdef GBD_SIMD_X86
 
-__attribute__((target("avx2"))) static void zp_axpy_delayed_avx2(std::uint64_t* acc,
-                                                                 const std::uint32_t* coeffs,
-                                                                 std::size_t n, std::uint64_t fneg,
-                                                                 std::uint64_t r64) {
-  const __m256i vf = _mm256_set1_epi64x(static_cast<long long>(fneg));
+static_assert(kSweepLanes == 4, "one block column is one 256-bit vector of u64");
+
+__attribute__((target("avx2"))) void zp_axpy_lanes_avx2(std::uint64_t* acc,
+                                                        const std::uint32_t* cols,
+                                                        const std::uint32_t* coeffs, std::size_t n,
+                                                        const std::uint64_t fneg[kSweepLanes],
+                                                        std::uint64_t r64) {
+  const __m256i vf = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(fneg));
   const __m256i vr = _mm256_set1_epi64x(static_cast<long long>(r64));
   const __m256i bias = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i c32 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(coeffs + i));
-    __m256i c = _mm256_cvtepu32_epi64(c32);
+  for (std::size_t j = 0; j < n; ++j) {
+    __m256i* cell = reinterpret_cast<__m256i*>(acc + kSweepLanes * cols[j]);
     // vpmuludq: low 32 bits of each 64-bit lane multiplied to a full 64-bit
     // product — exact, since both operands are < 2^32.
-    __m256i prod = _mm256_mul_epu32(c, vf);
-    __m256i old = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    __m256i sum = _mm256_add_epi64(old, prod);
+    const __m256i prod = _mm256_mul_epu32(_mm256_set1_epi64x(coeffs[j]), vf);
+    __m256i sum = _mm256_add_epi64(_mm256_loadu_si256(cell), prod);
     // Unsigned sum < prod ⇔ the addition wrapped; emulate the unsigned
     // compare by biasing both sides into signed range.
-    __m256i wrapped =
+    const __m256i wrapped =
         _mm256_cmpgt_epi64(_mm256_xor_si256(prod, bias), _mm256_xor_si256(sum, bias));
     sum = _mm256_add_epi64(sum, _mm256_and_si256(wrapped, vr));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), sum);
+    _mm256_storeu_si256(cell, sum);
   }
-  if (i < n) zp_axpy_delayed_scalar(acc + i, coeffs + i, n - i, fneg, r64);
 }
 
 #endif  // GBD_SIMD_X86
 
-void zp_axpy_delayed(std::uint64_t* acc, const std::uint32_t* coeffs, std::size_t n,
-                     std::uint64_t fneg, std::uint64_t r64, SimdLevel level) {
+}  // namespace
+
+void zp_axpy_lanes(std::uint64_t* acc, const std::uint32_t* cols, const std::uint32_t* coeffs,
+                   std::size_t n, const std::uint64_t fneg[kSweepLanes], std::uint64_t r64,
+                   SimdLevel level) {
 #ifdef GBD_SIMD_X86
   if (level == SimdLevel::kAvx2) {
-    zp_axpy_delayed_avx2(acc, coeffs, n, fneg, r64);
+    zp_axpy_lanes_avx2(acc, cols, coeffs, n, fneg, r64);
     return;
   }
 #else
   (void)level;
 #endif
-  zp_axpy_delayed_scalar(acc, coeffs, n, fneg, r64);
+  zp_axpy_lanes_scalar(acc, cols, coeffs, n, fneg, r64);
 }
 
 }  // namespace gbd

@@ -60,12 +60,18 @@ const SymbolicTable::ZpCoeffs& SymbolicTable::zp_coeffs(const ZpField& field,
   const std::uint64_t hc = zp_residue_u64(reducer.hcoef());
   const Zp inv_head = hc == 1 ? field.one() : field.inv(field.from_residue(hc));
   const bool narrow = field.delayed_reduction_ok();
-  zc.mont.reserve(reducer.nterms());
-  if (narrow) zc.canon.reserve(reducer.nterms());
+  if (narrow) {
+    zc.canon.reserve(reducer.nterms());
+  } else {
+    zc.mont.reserve(reducer.nterms());
+  }
   for (const Term& t : reducer.terms()) {
     const std::uint64_t r = field.mul_canonical(inv_head, zp_residue_u64(t.coeff));
-    zc.mont.push_back(field.from_residue(r).m);
-    if (narrow) zc.canon.push_back(static_cast<std::uint32_t>(r));
+    if (narrow) {
+      zc.canon.push_back(static_cast<std::uint32_t>(r));
+    } else {
+      zc.mont.push_back(field.from_residue(r).m);
+    }
   }
   return zc;
 }

@@ -39,11 +39,12 @@ struct MatrixKernelStats {
   std::uint64_t rows_zeroed = 0;    ///< work rows eliminated to zero
   std::uint64_t axpys = 0;          ///< row-elimination updates
   std::uint64_t dense_cells = 0;    ///< Zp accumulator cells scanned
-  // SIMD sweep dispatch (poly/simd.hpp) and multiline streaming.
-  std::uint64_t simd_rows = 0;      ///< work rows swept by the vector kernel
-  std::uint64_t scalar_rows = 0;    ///< Zp work rows swept by the Montgomery kernel
-  std::uint64_t simd_cells = 0;     ///< coefficient lanes streamed by vector AXPYs
-  std::uint64_t simd_runs = 0;      ///< multiline runs streamed
+  // Zp sweep dispatch (poly/simd.hpp): the AVX2 block lanes against the
+  // scalar levels (scalar block lanes, or the Montgomery rows for p ≥ 2^32).
+  std::uint64_t simd_rows = 0;      ///< work rows swept on the AVX2 lanes
+  std::uint64_t scalar_rows = 0;    ///< Zp work rows swept at the scalar level
+  std::uint64_t simd_cells = 0;     ///< pivot-tail cells the AVX2 lanes eliminated
+  std::uint64_t simd_passes = 0;    ///< AVX2 block passes (up to kSweepLanes rows each)
   std::uint64_t sweep_ns = 0;       ///< wall nanoseconds inside the stage-1 sweep
   std::uint64_t interreduce_ns = 0; ///< wall nanoseconds inside stage 2
   // Symbolic frame reuse across adjacent-degree batches (SymbolicTable).
@@ -114,8 +115,8 @@ class SymbolicTable {
  public:
   /// Monic coefficients of one reducer over Z/pZ, in term order.
   struct ZpCoeffs {
-    std::vector<std::uint64_t> mont;   ///< Montgomery words (scalar sweep)
-    std::vector<std::uint32_t> canon;  ///< canonical residues; only for p < 2^32 (SIMD sweep)
+    std::vector<std::uint64_t> mont;   ///< Montgomery words; only for p ≥ 2^32 (row sweep)
+    std::vector<std::uint32_t> canon;  ///< canonical residues; only for p < 2^32 (block sweep)
   };
 
   SymbolicTable() = default;

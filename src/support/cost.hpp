@@ -17,7 +17,11 @@ namespace gbd {
 
 /// Thread-local accumulated work, in term-operation units.
 struct CostCounter {
-  static std::uint64_t& local();
+  /// Inline so every charge site compiles to a thread-local add.
+  static std::uint64_t& local() {
+    thread_local std::uint64_t counter = 0;
+    return counter;
+  }
 
   /// Add `units` of work to the calling thread's counter.
   static void charge(std::uint64_t units) { local() += units; }

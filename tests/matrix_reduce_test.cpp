@@ -363,35 +363,43 @@ TEST(SimdKernelTest, DelayedAxpyLanesMatchWideOracle) {
     ASSERT_TRUE(field.delayed_reduction_ok());
     const std::uint64_t r64 = field.r_mod_p();
     Rng rng(7 + p);
-    const std::size_t n = 37;  // covers the 4-lane vector body and the tail
-    std::vector<std::uint64_t> lanes(n), lanes_scalar(n);
-    std::vector<std::uint64_t> want(n);  // true residues, tracked alongside
-    for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t ncols = 37;
+    const std::size_t ncells = kSweepLanes * ncols;
+    std::vector<std::uint64_t> lanes(ncells), lanes_scalar(ncells);
+    std::vector<std::uint64_t> want(ncells);  // true residues, tracked alongside
+    for (std::size_t i = 0; i < ncells; ++i) {
       lanes[i] = rng.next();  // arbitrary u64 starting point
       lanes_scalar[i] = lanes[i];
       want[i] = lanes[i] % p;
     }
-    std::vector<std::uint32_t> coeffs(n);
     // Many unnormalized updates in a row: lanes wander the full 64-bit
     // range and wrap repeatedly — exactly the regime the proof covers.
     for (int round = 0; round < 64; ++round) {
-      for (std::size_t i = 0; i < n; ++i) {
-        coeffs[i] = static_cast<std::uint32_t>(rng.below(p));
+      std::vector<std::uint32_t> cols, coeffs;  // a scattered pivot tail
+      for (std::uint32_t c = 0; c < ncols; ++c) {
+        if (rng.below(3) == 0) continue;
+        cols.push_back(c);
+        coeffs.push_back(static_cast<std::uint32_t>(rng.below(p)));
       }
-      std::uint64_t fneg = p - (1 + rng.below(p - 1));
-      for (std::size_t i = 0; i < n; ++i) {
-        unsigned __int128 t =
-            static_cast<unsigned __int128>(fneg) * coeffs[i] + want[i];
-        want[i] = static_cast<std::uint64_t>(t % p);
+      std::uint64_t fneg[kSweepLanes];
+      for (std::uint64_t& f : fneg) f = rng.below(4) == 0 ? 0 : p - (1 + rng.below(p - 1));
+      for (std::size_t j = 0; j < cols.size(); ++j) {
+        for (std::size_t r = 0; r < kSweepLanes; ++r) {
+          std::uint64_t& w = want[kSweepLanes * cols[j] + r];
+          unsigned __int128 t = static_cast<unsigned __int128>(fneg[r]) * coeffs[j] + w;
+          w = static_cast<std::uint64_t>(t % p);
+        }
       }
-      zp_axpy_delayed(lanes.data(), coeffs.data(), n, fneg, r64, simd_level());
-      zp_axpy_delayed_scalar(lanes_scalar.data(), coeffs.data(), n, fneg, r64);
+      zp_axpy_lanes(lanes.data(), cols.data(), coeffs.data(), cols.size(), fneg, r64,
+                    simd_level());
+      zp_axpy_lanes(lanes_scalar.data(), cols.data(), coeffs.data(), cols.size(), fneg, r64,
+                    SimdLevel::kScalar);
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      // The two kernels perform the identical lane arithmetic: raw 64-bit
+    for (std::size_t i = 0; i < ncells; ++i) {
+      // The two levels perform the identical lane arithmetic: raw 64-bit
       // lanes agree bit for bit, and both are congruent to the oracle.
-      EXPECT_EQ(lanes[i], lanes_scalar[i]) << "p " << p << " lane " << i;
-      EXPECT_EQ(lanes[i] % p, want[i]) << "p " << p << " lane " << i;
+      EXPECT_EQ(lanes[i], lanes_scalar[i]) << "p " << p << " cell " << i;
+      EXPECT_EQ(lanes[i] % p, want[i]) << "p " << p << " cell " << i;
     }
   }
 }
@@ -427,6 +435,117 @@ TEST(SimdDifferentialTest, ForcedScalarAndAutoDispatchAgreeRowForRow) {
       for (std::size_t i = 0; i < a.rows.size(); ++i) {
         EXPECT_EQ(a.rows[i].src, b.rows[i].src) << label;
         EXPECT_TRUE(a.rows[i].poly.equals(b.rows[i].poly)) << label << " row " << i;
+      }
+    }
+  }
+}
+
+/// `inner`, except that `kept` is irreducible. Reducing a monic row with
+/// head `kept` against it keeps the head and tail-reduces the rest: the
+/// per-poly oracle for one row of reduce_tails.
+class KeepHeadSet final : public ReducerSet {
+ public:
+  KeepHeadSet(const ReducerSet& inner, Monomial kept) : inner_(inner), kept_(std::move(kept)) {}
+  const Polynomial* find_reducer(const Monomial& m, std::uint64_t* out_id) const override {
+    return m == kept_ ? nullptr : inner_.find_reducer(m, out_id);
+  }
+
+ private:
+  const ReducerSet& inner_;
+  Monomial kept_;
+};
+
+/// Two dispatch runs of the same batch agree exactly.
+void expect_same_output(const EchelonOutput& a, const EchelonOutput& b, const std::string& label) {
+  EXPECT_EQ(a.src_zeroed, b.src_zeroed) << label;
+  ASSERT_EQ(a.rows.size(), b.rows.size()) << label;
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    EXPECT_EQ(a.rows[i].src, b.rows[i].src) << label << " row " << i;
+    EXPECT_TRUE(a.rows[i].poly.equals(b.rows[i].poly)) << label << " row " << i;
+  }
+}
+
+TEST(BlockSweepTest, BlockBoundariesMatchOracleUnderEveryDispatch) {
+  // The block sweep packs each worker's nonempty rows kSweepLanes at a time,
+  // so batches of 1–9 rows with empty rows between them, split over 1–3
+  // workers, give full and partial blocks whose lanes start at different
+  // heads. Automatic dispatch, pinned-scalar lanes and the per-poly oracle
+  // must agree row for row, in both sweep modes; the last prime takes the
+  // Montgomery row sweep instead.
+  const std::uint64_t primes[] = {3, (std::uint64_t{1} << 31) - 1,
+                                  prev_prime_u64(std::uint64_t{1} << 32),
+                                  prev_prime_u64(std::uint64_t{1} << 62)};
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    PolySystem sys = [&] {
+      Rng rng(seed);
+      return random_system(rng, 4, 6, 4, 5, 8);
+    }();
+    for (std::uint64_t p : primes) {
+      const CoeffOptions zp = CoeffOptions::zp(p);
+      const ZpField field(p);
+      std::vector<Polynomial> reducers = canonical_set(sys.ctx, sys.polys, zp);
+      VectorReducerSet set(&reducers);
+      // Rows with heads all over the frame: the s-polynomials, and the
+      // reducers themselves (which reduce to zero).
+      std::vector<Polynomial> pool = pair_spolys(sys.ctx, reducers, zp);
+      pool.insert(pool.end(), reducers.begin(), reducers.end());
+      Rng rng(seed * 31 + p);
+      for (std::size_t k = 1; k <= 9; ++k) {
+        std::vector<Polynomial> rows, monic;
+        while (monic.size() < k) {
+          if (rng.below(3) == 0) rows.emplace_back();  // an empty work row
+          Polynomial r = pool[rng.below(pool.size())];
+          rows.push_back(r);
+          r.make_monic(field);
+          monic.push_back(std::move(r));
+        }
+        ReduceOptions ropts;
+        ropts.tail_reduce = true;
+        ropts.coeff = zp;
+        for (std::size_t threads : {1u, 2u, 3u}) {
+          const std::string label = "seed " + std::to_string(seed) + " mod " +
+                                    std::to_string(p) + " rows " + std::to_string(k) +
+                                    " threads " + std::to_string(threads);
+          EchelonOptions opts;
+          opts.coeff = zp;
+          opts.interreduce = false;  // one output row per input row
+          opts.nthreads = threads;
+          EchelonOutput got = reduce_batch(sys.ctx, rows, set, opts);
+          std::vector<Polynomial> tails = reduce_tails(sys.ctx, monic, set, opts);
+          {
+            ScopedSimdEnv scalar("1");
+            expect_same_output(got, reduce_batch(sys.ctx, rows, set, opts), label + " scalar");
+            std::vector<Polynomial> tails_scalar = reduce_tails(sys.ctx, monic, set, opts);
+            ASSERT_EQ(tails.size(), tails_scalar.size()) << label;
+            for (std::size_t i = 0; i < tails.size(); ++i) {
+              EXPECT_TRUE(tails[i].equals(tails_scalar[i])) << label << " tails scalar " << i;
+            }
+          }
+
+          ASSERT_EQ(got.src_zeroed.size(), rows.size()) << label;
+          std::size_t next = 0;
+          for (std::size_t s = 0; s < rows.size(); ++s) {
+            const Polynomial want = reduce_full(sys.ctx, rows[s], set, ropts).poly;
+            if (want.is_zero()) {
+              // An empty work row is not "eliminated": it had nothing to lose.
+              EXPECT_EQ(got.src_zeroed[s], !rows[s].is_zero()) << label << " row " << s;
+              continue;
+            }
+            EXPECT_FALSE(got.src_zeroed[s]) << label << " row " << s;
+            ASSERT_LT(next, got.rows.size()) << label << " row " << s;
+            EXPECT_EQ(got.rows[next].src, s) << label;
+            EXPECT_TRUE(got.rows[next].poly.equals(want)) << label << " row " << s;
+            ++next;
+          }
+          EXPECT_EQ(next, got.rows.size()) << label;
+
+          ASSERT_EQ(tails.size(), monic.size()) << label;
+          for (std::size_t i = 0; i < monic.size(); ++i) {
+            KeepHeadSet keep(set, monic[i].hmono());
+            EXPECT_TRUE(tails[i].equals(reduce_full(sys.ctx, monic[i], keep, ropts).poly))
+                << label << " tails row " << i;
+          }
+        }
       }
     }
   }
@@ -571,7 +690,8 @@ TEST(MatrixStageTwoTest, ColumnSpaceMatchesPolynomialOracle) {
                                       std::to_string(p) + (force_scalar ? " scalar" : " auto") +
                                       " threads " + std::to_string(threads);
             SymbolicFrame frame = symbolic_preprocess(sys.ctx, rows, set);
-            MacaulayMatrix mat = build_matrix(sys.ctx, frame, rows, zp, matrix_wants_runs(zp));
+            MacaulayMatrix mat =
+                build_matrix(sys.ctx, frame, rows, zp, matrix_wants_simd_lanes(zp));
             EchelonOptions on;
             on.coeff = zp;
             on.nthreads = threads;

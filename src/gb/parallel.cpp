@@ -510,8 +510,8 @@ class GlpWorker {
     eopts.coeff = cfg_.gb.coeff;
     // Parallel elimination inside the task: the configured lane count,
     // clamped by what this machine grants each processor (SimMachine grants
-    // freely and stays deterministic via makespan charging; Thread/Socket
-    // grant the host's spare threads).
+    // freely and stays deterministic, since the kernel's charges do not
+    // depend on the schedule; Thread/Socket grant the host's spare threads).
     eopts.nthreads = std::min(std::max<std::size_t>(1, cfg_.gb.matrix_threads),
                               std::max<std::size_t>(1, self_.kernel_lanes()));
     EchelonOutput eo;

@@ -180,20 +180,29 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
       }
       if (batch.empty()) continue;
 
-      std::vector<Polynomial> rows;
-      rows.reserve(batch.size());
-      for (const PendingPair& pair : batch) {
-        rows.push_back(spoly(ctx, basis[pair.i], basis[pair.j], cfg.coeff));
-        res.stats.spolys_computed += 1;
-        GBD_CHECK_MSG(res.stats.spolys_computed <= cfg.max_spolys,
-                      "groebner_sequential exceeded max_spolys");
-      }
-
+      res.stats.spolys_computed += batch.size();
+      GBD_CHECK_MSG(res.stats.spolys_computed <= cfg.max_spolys,
+                    "groebner_sequential exceeded max_spolys");
       EchelonOptions eopts;
       eopts.coeff = cfg.coeff;
       eopts.nthreads = cfg.matrix_threads;
       const std::uint64_t axpys_before = matrix_kernel_stats().axpys;
-      EchelonOutput eo = reduce_batch(ctx, rows, reducer_set, eopts, &matrix_table);
+      EchelonOutput eo;
+      if (cfg.coeff.is_zp()) {
+        // Over Zp each row is built from its pair's halves, products the
+        // run table already caches: no s-polynomial is formed.
+        std::vector<SPair> pairs;
+        pairs.reserve(batch.size());
+        for (const PendingPair& pair : batch) pairs.push_back(SPair{pair.i, pair.j});
+        eo = reduce_pairs(ctx, pairs, reducer_set, eopts, &matrix_table);
+      } else {
+        std::vector<Polynomial> rows;
+        rows.reserve(batch.size());
+        for (const PendingPair& pair : batch) {
+          rows.push_back(spoly(ctx, basis[pair.i], basis[pair.j], cfg.coeff));
+        }
+        eo = reduce_batch(ctx, rows, reducer_set, eopts, &matrix_table);
+      }
       res.stats.reduction_steps += matrix_kernel_stats().axpys - axpys_before;
       for (const PendingPair& pair : batch) done.mark(pair.i, pair.j);
       res.stats.reductions_to_zero += batch.size() - eo.rows.size();

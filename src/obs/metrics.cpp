@@ -80,10 +80,17 @@ void collect_kernel_delta(MetricsRegistry& reg, int proc, const KernelBaseline& 
   reg.add("kernel.matrix.batches", proc, mk.batches - base.matrix.batches);
   reg.add("kernel.matrix.frame_cols", proc, mk.frame_cols - base.matrix.frame_cols);
   reg.add("kernel.matrix.pivot_rows", proc, mk.pivot_rows - base.matrix.pivot_rows);
+  reg.add("kernel.matrix.pivot_cells", proc, mk.pivot_cells - base.matrix.pivot_cells);
   reg.add("kernel.matrix.work_rows", proc, mk.work_rows - base.matrix.work_rows);
+  reg.add("kernel.matrix.work_cells", proc, mk.work_cells - base.matrix.work_cells);
   reg.add("kernel.matrix.rows_zeroed", proc, mk.rows_zeroed - base.matrix.rows_zeroed);
   reg.add("kernel.matrix.axpys", proc, mk.axpys - base.matrix.axpys);
+  reg.add("kernel.matrix.axpy_cells", proc, mk.axpy_cells - base.matrix.axpy_cells);
+  reg.add("kernel.matrix.merge_cells", proc, mk.merge_cells - base.matrix.merge_cells);
   reg.add("kernel.matrix.dense_cells", proc, mk.dense_cells - base.matrix.dense_cells);
+  reg.add("kernel.matrix.pair_rows", proc, mk.pair_rows - base.matrix.pair_rows);
+  reg.add("kernel.matrix.pair_halves_shared", proc,
+          mk.pair_halves_shared - base.matrix.pair_halves_shared);
   reg.add("kernel.matrix.memo_hits", proc, mk.memo_hits - base.matrix.memo_hits);
   reg.add("kernel.matrix.memo_misses", proc, mk.memo_misses - base.matrix.memo_misses);
   reg.add("kernel.matrix.product_cache_hits", proc,

@@ -19,6 +19,7 @@ namespace {
 
 struct SweepTally {
   std::uint64_t axpys = 0;
+  std::uint64_t axpy_cells = 0;
   std::uint64_t dense_cells = 0;
   std::uint64_t simd_rows = 0;
   std::uint64_t scalar_rows = 0;
@@ -26,7 +27,7 @@ struct SweepTally {
   std::uint64_t simd_passes = 0;
   std::uint64_t cache_builds = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t cost = 0;  // term-operation units this worker charged
+  std::uint64_t cost = 0;  // term-operation units this worker charged (exact sweep)
 };
 
 /// A Zp row in column space: strictly increasing frame columns, each with a
@@ -39,12 +40,11 @@ struct ZpColRow {
   bool empty() const { return cols.empty(); }
 };
 
-/// Polynomial::make_monic in column space, with the same charge.
+/// Polynomial::make_monic in column space.
 void make_monic(const ZpField& field, ZpColRow* row) {
   if (row->empty() || row->vals[0] == 1) return;
   const Zp inv = field.inv(field.from_residue(row->vals[0]));
   for (std::uint64_t& v : row->vals) v = field.mul_canonical(inv, v);
-  CostCounter::charge(row->vals.size());
 }
 
 /// The nonzero cells of a swept accumulator from column `from` on (every
@@ -73,7 +73,7 @@ ZpColRow sweep_row_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat,
                       std::vector<std::uint64_t>* acc, SweepTally* tally) {
   const std::size_t ncols = mat.ncols;
   for (std::size_t i = 0; i < row.nnz(); ++i) {
-    (*acc)[row.cols[i]] = zp_residue_u64(row.coeffs[i]);
+    (*acc)[row.cols[i]] = row.residues[i];
   }
   for (std::size_t c = start; c < ncols; ++c) {
     std::uint64_t f = (*acc)[c];
@@ -89,11 +89,10 @@ ZpColRow sweep_row_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat,
       cell = field.sub_canonical(cell, field.mul_canonical(Zp{mont[j]}, f));
     }
     tally->axpys += 1;
-    CostCounter::charge(pcols.size());
+    tally->axpy_cells += pcols.size();
   }
   tally->dense_cells += ncols;
   tally->scalar_rows += 1;
-  CostCounter::charge(ncols / 8 + 1);  // the column scan itself, amortized
   return gather_monic(field, acc, row.cols[0]);
 }
 
@@ -114,9 +113,9 @@ struct SweepBlock {
 /// row is bit-identical to sweep_row_zp's. A pivot that any lane hits
 /// streams once per block, with factor 0 for the lanes it does not
 /// eliminate. The pass emits and zeroes each cell as it goes, so the
-/// accumulator starts and ends all zero. Charged units match sweep_row_zp
-/// row by row — the pivot length per elimination, ncols/8 + 1 per row —
-/// so virtual time (SimMachine) depends neither on dispatch nor on blocking.
+/// accumulator starts and ends all zero. Its counts (eliminations, their
+/// pivot lengths, dense cells) match sweep_row_zp row by row, so the units
+/// charged from them depend neither on dispatch nor on blocking.
 void sweep_block_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat, const ZpField& field,
                     const SweepBlock& block, bool keep_heads, SimdLevel level,
                     std::vector<std::uint64_t>* acc_vec, SweepTally* tally) {
@@ -132,13 +131,13 @@ void sweep_block_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat, const
   for (std::size_t r = 0; r < block.size; ++r) {
     const MatrixRow& row = *block.rows[r];
     for (std::size_t i = 0; i < row.nnz(); ++i) {
-      acc[kL * row.cols[i] + r] = zp_residue_u64(row.coeffs[i]);
+      acc[kL * row.cols[i] + r] = row.residues[i];
     }
     start[r] = row.cols[0] + (keep_heads ? 1 : 0);
     begin = std::min<std::size_t>(begin, row.cols[0]);
     end = std::max<std::size_t>(end, row.cols.back() + 1);
   }
-  std::uint64_t units = 0, cells = 0;
+  std::uint64_t terms = 0, cells = 0;  // pivot terms and tail cells over the eliminations
   for (std::size_t c = begin; c < end; ++c) {
     std::uint64_t* cell = acc + kL * c;
     std::uint64_t any = 0;
@@ -171,12 +170,12 @@ void sweep_block_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat, const
     zp_axpy_lanes(acc, pcols.data() + 1, mat.zp_pivots[k].canon + 1, nterms - 1, fneg, r64,
                   level);
     end = std::max<std::size_t>(end, pcols.back() + 1);
-    units += hits * nterms;
+    terms += hits * nterms;
     cells += hits * (nterms - 1);
     tally->axpys += hits;
   }
   for (std::size_t r = 0; r < block.size; ++r) make_monic(field, block.out[r]);
-  CostCounter::charge(units + block.size * (ncols / 8 + 1));
+  tally->axpy_cells += terms;
   tally->dense_cells += block.size * ncols;
   if (level == SimdLevel::kAvx2) {
     tally->simd_rows += block.size;
@@ -189,19 +188,14 @@ void sweep_block_zp(const SymbolicFrame& frame, const MacaulayMatrix& mat, const
 
 /// row ← row − hc(row)·piv for a monic `piv` with the same head column,
 /// merged on column order into `scratch`, then swapped in. This is
-/// zp_combine(1·row, (p − hc)·piv) with unit multipliers, and it charges
-/// what zp_combine charges for those operands: a unit-monomial product per
-/// term, a monomial comparison per merge step while both sides remain, and
-/// the term movement.
-void combine_zp(const ZpField& field, std::uint64_t nvars, ZpColRow* row, const ZpColRow& piv,
-                ZpColRow* scratch) {
+/// zp_combine(1·row, (p − hc)·piv) with unit multipliers.
+void combine_zp(const ZpField& field, ZpColRow* row, const ZpColRow& piv, ZpColRow* scratch) {
   const Zp f = field.from_residue(field.p() - row->vals[0]);
   const std::size_t na = row->cols.size(), nb = piv.cols.size();
   scratch->cols.clear();
   scratch->vals.clear();
   std::size_t i = 0, j = 0;
-  std::uint64_t steps = 0;
-  for (; i < na && j < nb; ++steps) {
+  while (i < na && j < nb) {
     const std::uint32_t ca = row->cols[i], cb = piv.cols[j];
     std::uint64_t v;
     if (ca < cb) {
@@ -223,7 +217,6 @@ void combine_zp(const ZpField& field, std::uint64_t nvars, ZpColRow* row, const 
     scratch->cols.push_back(piv.cols[j]);
     scratch->vals.push_back(field.mul_canonical(f, piv.vals[j]));
   }
-  CostCounter::charge((na + nb) * (nvars + 1) + steps * nvars);
   std::swap(*row, *scratch);
 }
 
@@ -234,21 +227,25 @@ void combine_zp(const ZpField& field, std::uint64_t nvars, ZpColRow* row, const 
 /// across that worker's rows with no synchronization.
 using ExactPivotCache = std::vector<std::unique_ptr<std::vector<Term>>>;
 
+/// The exact sweep's column of each frame monomial, built once per matrix.
+using ColIndex = std::unordered_map<Monomial, std::uint32_t, MonoHash>;
+
 /// Exact pivot sweep for one work row: the reduce_full geobucket loop with
 /// the reducer choice read off the frame. Bit-identical to the per-poly
 /// oracle's tail-reduced normal form (same reducers, same fraction-free
 /// steps, same final make_primitive inside extract()).
 Polynomial sweep_row_exact(const PolyContext& ctx, const SymbolicFrame& frame,
-                           const MatrixRow& mrow, ExactPivotCache* cache, SweepTally* tally) {
+                           const ColIndex& col_of, const MatrixRow& mrow, ExactPivotCache* cache,
+                           SweepTally* tally) {
   Polynomial p = row_to_poly(ctx, frame, mrow);
   p.make_primitive();
   if (p.is_zero()) return p;
   Geobucket acc(ctx, std::move(p));
   Term lead;
   while (acc.lead(&lead)) {
-    std::int64_t c = frame.col_of(lead.mono);
-    GBD_CHECK_MSG(c >= 0, "echelon_reduce: monomial escaped the frame");
-    std::int32_t pv = frame.pivot_of_col[static_cast<std::size_t>(c)];
+    const auto c = col_of.find(lead.mono);
+    GBD_CHECK_MSG(c != col_of.end(), "echelon_reduce: monomial escaped the frame");
+    std::int32_t pv = frame.pivot_of_col[c->second];
     if (pv < 0) {
       acc.retire_lead();
       continue;
@@ -299,20 +296,18 @@ void combine_exact(const PolyContext& ctx, Polynomial* row, const Polynomial& pi
 
 /// Stage 2 over Zp, in column space. Frame columns are order-isomorphic to
 /// their monomials (a smaller column is a larger monomial), so sorting by
-/// head column and merging on column order makes exactly the comparisons
-/// and combinations a polynomial-level pass makes, with the same results.
-/// Those comparisons are charged as monomial comparisons (DESIGN.md §20).
-void interreduce_zp(const ZpField& field, std::uint64_t nvars, std::size_t ncols,
-                    std::vector<std::pair<ZpColRow, std::size_t>>* alive,
-                    std::vector<bool>* src_zeroed, MatrixKernelStats* st) {
+/// head column and merging on column order makes exactly the combinations a
+/// polynomial-level pass makes, with the same results. Returns the merge
+/// cells: both rows' lengths, summed over the combinations.
+std::uint64_t interreduce_zp(const ZpField& field, std::size_t ncols,
+                             std::vector<std::pair<ZpColRow, std::size_t>>* alive,
+                             std::vector<bool>* src_zeroed, MatrixKernelStats* st) {
   using Work = std::pair<ZpColRow, std::size_t>;  // (row, src)
-  std::uint64_t cmps = 0;
   std::sort(alive->begin(), alive->end(), [&](const Work& a, const Work& b) {
-    ++cmps;
     if (a.first.cols[0] != b.first.cols[0]) return a.first.cols[0] < b.first.cols[0];
     return a.second < b.second;
   });
-  CostCounter::charge(cmps * nvars);
+  std::uint64_t merge_cells = 0;
   std::vector<std::int32_t> kept_at(ncols, -1);  // per head column: index into `kept`
   std::vector<Work> kept;
   ZpColRow scratch;
@@ -321,7 +316,9 @@ void interreduce_zp(const ZpField& field, std::uint64_t nvars, std::size_t ncols
     while (!row.empty()) {
       const std::int32_t k = kept_at[row.cols[0]];
       if (k < 0) break;
-      combine_zp(field, nvars, &row, kept[static_cast<std::size_t>(k)].first, &scratch);
+      const ZpColRow& piv = kept[static_cast<std::size_t>(k)].first;
+      merge_cells += row.cols.size() + piv.cols.size();
+      combine_zp(field, &row, piv, &scratch);
       st->axpys += 1;
     }
     if (row.empty()) {
@@ -333,6 +330,7 @@ void interreduce_zp(const ZpField& field, std::uint64_t nvars, std::size_t ncols
     kept.push_back(std::move(w));
   }
   *alive = std::move(kept);
+  return merge_cells;
 }
 
 /// Stage 2 over exact coefficients, on polynomials.
@@ -394,6 +392,11 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
   std::size_t nthreads = std::max<std::size_t>(1, opts.nthreads);
   nthreads = std::min(nthreads, std::max<std::size_t>(1, nrows));
   std::vector<SweepTally> tallies(nthreads);
+  ColIndex col_of;
+  if (!zp) {
+    col_of.reserve(frame.ncols());
+    for (std::uint32_t c = 0; c < frame.ncols(); ++c) col_of.emplace(frame.cols[c], c);
+  }
 
   auto sweep_range = [&](std::size_t t) {
     SweepTally& tally = tallies[t];
@@ -419,7 +422,7 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
         const std::size_t start = row.cols[0] + (keep_heads ? 1 : 0);
         swept[i] = sweep_row_zp(frame, mat, field, row, start, &acc, &tally);
       } else {
-        reduced[i] = sweep_row_exact(ctx, frame, row, &cache, &tally);
+        reduced[i] = sweep_row_exact(ctx, frame, col_of, row, &cache, &tally);
       }
     }
     if (block.size > 0) sweep_block_zp(frame, mat, field, block, keep_heads, level, &acc, &tally);
@@ -430,9 +433,10 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
   if (nthreads == 1) {
     sweep_range(0);
   } else {
-    // Workers charge their own thread-local cost counters, which die with
-    // the threads; the caller is charged the slowest worker's total below
-    // (parallel makespan, same convention as the machine backends).
+    // Exact workers charge their own thread-local cost counters, which die
+    // with the threads; the caller is charged the slowest worker's total
+    // below (parallel makespan, same convention as the machine backends).
+    // Zp workers charge nothing: their counts are charged after stage 2.
     std::vector<std::thread> workers;
     workers.reserve(nthreads);
     for (std::size_t t = 0; t < nthreads; ++t) workers.emplace_back(sweep_range, t);
@@ -444,8 +448,12 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
   const auto stage2_t0 = std::chrono::steady_clock::now();
   st.sweep_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(stage2_t0 - sweep_t0).count());
+  std::uint64_t axpy_cells = 0, dense_cells = 0;
   for (const auto& tally : tallies) {
+    axpy_cells += tally.axpy_cells;
+    dense_cells += tally.dense_cells;
     st.axpys += tally.axpys;
+    st.axpy_cells += tally.axpy_cells;
     st.dense_cells += tally.dense_cells;
     st.simd_rows += tally.simd_rows;
     st.scalar_rows += tally.scalar_rows;
@@ -473,9 +481,14 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
   };
   if (zp) {
     auto alive = survivors(swept, [](const ZpColRow& r) { return r.empty(); });
+    std::uint64_t merge_cells = 0;
     if (opts.interreduce && !keep_heads && alive.size() > 1) {
-      interreduce_zp(field, ctx.nvars(), mat.ncols, &alive, &out.src_zeroed, &st);
+      merge_cells = interreduce_zp(field, mat.ncols, &alive, &out.src_zeroed, &st);
     }
+    st.merge_cells += merge_cells;
+    // DESIGN.md §20's sweep and stage-2 terms, from this matrix's counts:
+    // the same for any dispatch, blocking or thread count.
+    CostCounter::charge(axpy_cells + dense_cells / 8 + (ctx.nvars() + 1) * merge_cells);
     std::sort(alive.begin(), alive.end(),
               [](const auto& a, const auto& b) { return a.second < b.second; });
     out.rows.reserve(alive.size());
@@ -528,6 +541,15 @@ EchelonOutput reduce_batch(const PolyContext& ctx, const std::vector<Polynomial>
                            const ReducerSet& reducers, const EchelonOptions& opts,
                            SymbolicTable* table) {
   return run_batch(ctx, rows, reducers, opts, table, /*keep_heads=*/false);
+}
+
+EchelonOutput reduce_pairs(const PolyContext& ctx, const std::vector<SPair>& pairs,
+                           const ReducerSet& reducers, const EchelonOptions& opts,
+                           SymbolicTable* table) {
+  GBD_CHECK_MSG(opts.coeff.is_zp(), "reduce_pairs: Zp only");
+  SymbolicFrame frame = symbolic_preprocess(ctx, pairs, reducers, table);
+  MacaulayMatrix mat = build_matrix(frame, pairs, reducers, opts.coeff);
+  return echelon(ctx, frame, mat, opts, /*keep_heads=*/false);
 }
 
 std::vector<Polynomial> reduce_tails(const PolyContext& ctx, const std::vector<Polynomial>& rows,

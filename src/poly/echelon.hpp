@@ -51,8 +51,10 @@ struct EchelonOptions {
   /// Combine surviving rows with equal head monomials (stage 2).
   bool interreduce = true;
   /// Worker threads for the pivot sweep (1 = run on the caller). Results are
-  /// identical for any thread count; the caller's cost counter is charged
-  /// the *maximum* per-thread work, modeling parallel makespan.
+  /// identical for any thread count, and so are the units a Zp matrix
+  /// charges (they come from its counts, DESIGN.md §20). The exact sweep
+  /// charges the caller the *maximum* per-thread work, modeling parallel
+  /// makespan.
   std::size_t nthreads = 1;
 };
 
@@ -81,6 +83,16 @@ EchelonOutput echelon_reduce(const PolyContext& ctx, const SymbolicFrame& frame,
 /// monomial table across calls (see SymbolicTable); results and charged
 /// units are identical with or without it.
 EchelonOutput reduce_batch(const PolyContext& ctx, const std::vector<Polynomial>& rows,
+                           const ReducerSet& reducers, const EchelonOptions& opts,
+                           SymbolicTable* table = nullptr);
+
+/// reduce_batch for a batch of s-pairs over `reducers` (SPair; ids as the
+/// set's by_id resolves them): each row is built from the pair's two halves
+/// instead of an s-polynomial. Over Zp the output — rows, src, src_zeroed —
+/// is bit-identical to reduce_batch over the pairs' monic s-polynomials
+/// (spoly), because the sweep is linear in its row and the output is monic.
+/// Zp only.
+EchelonOutput reduce_pairs(const PolyContext& ctx, const std::vector<SPair>& pairs,
                            const ReducerSet& reducers, const EchelonOptions& opts,
                            SymbolicTable* table = nullptr);
 

@@ -31,12 +31,14 @@
 
 namespace gbd {
 
-/// One sparse row: parallel arrays of column indices (strictly increasing —
-/// monomials strictly decreasing) and nonzero coefficients. Exact rows hold
-/// arbitrary integers; Zp rows hold canonical residues.
+/// One sparse row: column indices (strictly increasing — monomials strictly
+/// decreasing) and, parallel to them, nonzero coefficients in the ring's
+/// form: arbitrary integers for an exact row, canonical residues for a Zp
+/// row. The other array stays empty.
 struct MatrixRow {
   std::vector<std::uint32_t> cols;
-  std::vector<BigInt> coeffs;
+  std::vector<BigInt> coeffs;             ///< exact rows
+  std::vector<std::uint64_t> residues;    ///< Zp rows
 
   bool empty() const { return cols.empty(); }
   std::size_t nnz() const { return cols.size(); }
@@ -55,8 +57,9 @@ struct ZpPivotRow {
 
 struct MacaulayMatrix {
   std::size_t ncols = 0;
-  /// The batch rows (C|D block), one per input polynomial, in input order.
-  /// Rows of zero polynomials are empty.
+  /// The batch rows (C|D block), one per input polynomial or s-pair, in
+  /// input order. Rows of zero polynomials, and s-pairs whose halves cancel
+  /// completely, are empty.
   std::vector<MatrixRow> work_rows;
   /// Zp mode only: the pivot block (A|B), parallel to frame.pivots.
   /// Exact mode leaves this empty and reads frame.pivots directly.
@@ -79,11 +82,20 @@ MacaulayMatrix build_matrix(const PolyContext& ctx, const SymbolicFrame& frame,
                             const std::vector<Polynomial>& rows, const CoeffOptions& coeff,
                             bool simd_lanes = false);
 
+/// The same for a frame built from `pairs` over `reducers`: work row r
+/// merges the pair's two halves (the frame's rows 2r and 2r + 1) on column
+/// order, with coefficients from the elements' cached monic residues
+/// (SymbolicTable::zp_coeffs), the second half negated. The lcm cancels and
+/// has no column; so does any tail cell the halves share with equal
+/// coefficients. Zp only; the lanes are matrix_wants_simd_lanes(coeff).
+MacaulayMatrix build_matrix(const SymbolicFrame& frame, const std::vector<SPair>& pairs,
+                            const ReducerSet& reducers, const CoeffOptions& coeff);
+
 /// The `simd_lanes` every engine passes: true when the batch is over Zp and
 /// the host dispatches the vector kernel right now (poly/simd.hpp).
 bool matrix_wants_simd_lanes(const CoeffOptions& coeff);
 
-/// Convert a row back to a polynomial over the frame (no normalization).
+/// Convert an exact row back to a polynomial over the frame (no normalization).
 Polynomial row_to_poly(const PolyContext& ctx, const SymbolicFrame& frame, const MatrixRow& row);
 
 }  // namespace gbd

@@ -76,24 +76,84 @@ const SymbolicTable::ZpCoeffs& SymbolicTable::zp_coeffs(const ZpField& field,
   return zc;
 }
 
-SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<Polynomial>& rows,
-                                  const ReducerSet& reducers, SymbolicTable* table) {
-  MatrixKernelStats& st = matrix_kernel_stats();
-  st.batches += 1;
-  const std::uint64_t ver = reducers.version();
-  SymbolicFrame frame;
+SymbolicTable& SymbolicTable::for_frame(SymbolicFrame* frame, const ReducerSet& reducers,
+                                        SymbolicTable* table) {
   // Resolutions, ids and products only carry across calls for a set whose
   // answers and ids are stable between versions; anything else gets a table
   // of its own, which the frame keeps for build_matrix.
-  const bool use_memo = table != nullptr && ver != ReducerSet::kUnversioned;
-  if (!use_memo) {
-    frame.own_table = std::make_unique<SymbolicTable>();
-    table = frame.own_table.get();
+  if (table == nullptr || reducers.version() == ReducerSet::kUnversioned) {
+    frame->own_table = std::make_unique<SymbolicTable>();
+    table = frame->own_table.get();
+    table->memo_ = false;
   }
-  frame.table = table;
-  SymbolicTable& tab = *table;
-  tab.begin_batch();
-  const std::uint64_t nvars = ctx.nvars();
+  frame->table = table;
+  return *table;
+}
+
+const Polynomial* SymbolicTable::resolve(std::uint32_t id, const ReducerSet& reducers,
+                                         std::uint64_t* reducer_id) {
+  if (!memo_) return reducers.find_reducer(mono(id), reducer_id);
+  MatrixKernelStats& st = matrix_kernel_stats();
+  const std::uint64_t ver = reducers.version();
+  Entry& e = entries_[id];
+  // Reusable iff no head appended after the stamp divides the monomial; a
+  // hit refreshes the stamp so the next check scans an empty suffix.
+  if (e.resolution != Resolution::kUnknown &&
+      (e.stamp == ver || !reducers.head_added_since(mono(id), e.stamp))) {
+    e.stamp = ver;
+    if (e.resolution == Resolution::kIrreducible) {
+      st.memo_hits += 1;
+      return nullptr;
+    }
+    if (const Polynomial* red = reducers.by_id(e.reducer_id)) {  // else fall through
+      *reducer_id = e.reducer_id;
+      st.memo_hits += 1;
+      return red;
+    }
+  }
+  const Polynomial* red = reducers.find_reducer(mono(id), reducer_id);
+  st.memo_misses += 1;
+  e.reducer_id = *reducer_id;
+  e.stamp = ver;
+  e.resolution = red != nullptr ? Resolution::kReducible : Resolution::kIrreducible;
+  return red;
+}
+
+void SymbolicTable::pair_tails(const ReducerSet& reducers, const SPair& pair,
+                               std::vector<std::uint32_t>* tail_i,
+                               std::vector<std::uint32_t>* tail_j) {
+  const std::uint64_t ids[2] = {pair.i, pair.j};
+  const Polynomial* g[2] = {reducers.by_id(pair.i), reducers.by_id(pair.j)};
+  GBD_CHECK_MSG(g[0] != nullptr && g[1] != nullptr && !g[0]->is_zero() && !g[1]->is_zero(),
+                "symbolic_preprocess: an s-pair names no nonzero element of the set");
+  const std::uint32_t lcm = intern(Monomial::lcm(g[0]->hmono(), g[1]->hmono()));
+  // Usually the lcm's own reducer is one of the pair's elements; that half
+  // is then the lcm's pivot product, which the closure meets whenever some
+  // other row reaches the lcm.
+  std::uint64_t lcm_reducer = 0;
+  const bool reducible = resolve(lcm, reducers, &lcm_reducer) != nullptr;
+  std::vector<std::uint32_t>* tails[2] = {tail_i, tail_j};
+  for (int h = 0; h < 2; ++h) {
+    std::vector<std::uint32_t>& tail = *tails[h];
+    const Entry& e = entries_[lcm];
+    if (e.product_of == ids[h]) {
+      tail.assign(tails_.begin() + e.tail_at, tails_.begin() + e.tail_at + e.tail_len);
+      matrix_kernel_stats().pair_halves_shared += 1;
+      continue;
+    }
+    const Monomial mult = mono(lcm) / g[h]->hmono();
+    const auto& terms = g[h]->terms();
+    tail.clear();
+    for (std::size_t k = 1; k < terms.size(); ++k) tail.push_back(intern(terms[k].mono * mult));
+    if (reducible && lcm_reducer == ids[h]) store_tail(lcm, ids[h], tail);
+  }
+}
+
+void SymbolicTable::close(const PolyContext& ctx, const ReducerSet& reducers,
+                          std::vector<std::vector<std::uint32_t>> rows, SymbolicFrame* frame) {
+  MatrixKernelStats& st = matrix_kernel_stats();
+  st.batches += 1;
+  begin_batch();
 
   // The batch numbers the closure monomials densely in first-visit order:
   // `tid[i]` is the table id of batch monomial i, `state[i]` its chosen
@@ -112,57 +172,28 @@ SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<Poly
   std::vector<std::uint32_t> tail;
 
   auto visit = [&](std::uint32_t id) -> std::uint32_t {
-    if (tab.mark_[id] != tab.batch_) {
-      tab.mark_[id] = tab.batch_;
-      tab.local_[id] = static_cast<std::uint32_t>(tid.size());
+    if (mark_[id] != batch_) {
+      mark_[id] = batch_;
+      local_[id] = static_cast<std::uint32_t>(tid.size());
       tid.push_back(id);
       state.push_back(-2);
-      worklist.push_back(tab.local_[id]);
+      worklist.push_back(local_[id]);
     }
-    return tab.local_[id];
+    return local_[id];
   };
-  std::vector<std::vector<std::uint32_t>> row_ids(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    row_ids[r].reserve(rows[r].nterms());
-    for (const Term& t : rows[r].terms()) row_ids[r].push_back(visit(tab.intern(t.mono)));
+  std::uint64_t cells = 0;
+  for (std::vector<std::uint32_t>& ids : rows) {
+    for (std::uint32_t& id : ids) id = visit(id);  // now a batch index
+    cells += ids.size();
   }
+  st.work_cells += cells;
 
   while (!worklist.empty()) {
     const std::uint32_t mid = worklist.back();
     worklist.pop_back();
     const std::uint32_t id_m = tid[mid];
-    const Monomial& m = tab.mono(id_m);
     std::uint64_t id = 0;
-    const Polynomial* red = nullptr;
-    bool resolved = false;
-    if (use_memo) {
-      SymbolicTable::Entry& e = tab.entries_[id_m];
-      // Reusable iff no head appended after the stamp divides m; a hit
-      // refreshes the stamp so the next check scans an empty suffix.
-      if (e.resolution != SymbolicTable::Resolution::kUnknown &&
-          (e.stamp == ver || !reducers.head_added_since(m, e.stamp))) {
-        e.stamp = ver;
-        if (e.resolution == SymbolicTable::Resolution::kReducible) {
-          red = reducers.by_id(e.reducer_id);
-          id = e.reducer_id;
-          resolved = red != nullptr;  // id must resolve; else fall through
-        } else {
-          resolved = true;  // still irreducible
-        }
-        if (resolved) st.memo_hits += 1;
-      }
-    }
-    if (!resolved) {
-      red = reducers.find_reducer(m, &id);
-      if (use_memo) {
-        st.memo_misses += 1;
-        SymbolicTable::Entry& e = tab.entries_[id_m];
-        e.reducer_id = id;
-        e.stamp = ver;
-        e.resolution = red != nullptr ? SymbolicTable::Resolution::kReducible
-                                      : SymbolicTable::Resolution::kIrreducible;
-      }
-    }
+    const Polynomial* red = resolve(id_m, reducers, &id);
     if (red == nullptr) {
       state[mid] = -1;
       continue;
@@ -171,74 +202,123 @@ SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<Poly
     // head monomial is m itself, already seen.
     state[mid] = static_cast<std::int64_t>(chosen.size());
     chosen.push_back(Resolved{red, id, mid});
-    const auto& terms = red->terms();
-    if (tab.entries_[id_m].product_of == id) {
-      // The product depends only on (m, red): walk its cached tail ids. The
-      // cost model still counts the division and the tail products.
+    if (entries_[id_m].product_of == id) {
+      // The product depends only on (m, red): walk its cached tail ids.
       st.product_cache_hits += 1;
-      CostCounter::charge(nvars * terms.size());
     } else {
-      const Monomial mult = m / red->hmono();
+      const Monomial mult = mono(id_m) / red->hmono();
+      const auto& terms = red->terms();
       tail.clear();
-      for (std::size_t i = 1; i < terms.size(); ++i) {
-        tail.push_back(tab.intern(terms[i].mono * mult));
-      }
-      tab.store_tail(id_m, id, tail);
+      for (std::size_t i = 1; i < terms.size(); ++i) tail.push_back(intern(terms[i].mono * mult));
+      store_tail(id_m, id, tail);
     }
-    const SymbolicTable::Entry& e = tab.entries_[id_m];
-    for (std::uint32_t i = 0; i < e.tail_len; ++i) visit(tab.tails_[e.tail_at + i]);
-    CostCounter::charge(terms.size());
+    const Entry& e = entries_[id_m];
+    for (std::uint32_t i = 0; i < e.tail_len; ++i) visit(tails_[e.tail_at + i]);
   }
 
-  // Frame columns: the closure in strictly decreasing monomial order. The
-  // sort input is the iteration order of a map filled once per batch
-  // monomial, in first-visit order; that fixes the comparison sequence and
-  // so the units ctx.cmp charges (DESIGN.md §20). The map becomes the
-  // frame's col_of index.
-  std::unordered_map<Monomial, std::uint32_t, MonoHash> seen;
-  for (std::uint32_t i = 0; i < tid.size(); ++i) seen.emplace(tab.mono(tid[i]), i);
-  std::vector<std::uint32_t> order;
-  order.reserve(seen.size());
-  for (const auto& [m, i] : seen) order.push_back(i);
+  // Frame columns: the closure in strictly decreasing monomial order.
+  std::vector<std::uint32_t> order(tid.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return ctx.cmp(tab.mono(tid[a]), tab.mono(tid[b])) > 0;
+    return ctx.cmp(mono(tid[a]), mono(tid[b])) > 0;
   });
-  std::vector<std::uint32_t> col_of_id(order.size());
-  frame.cols.reserve(order.size());
+  std::vector<std::uint32_t> col_of_local(order.size());
+  frame->cols.reserve(order.size());
   for (std::uint32_t c = 0; c < order.size(); ++c) {
-    col_of_id[order[c]] = c;
-    frame.cols.push_back(tab.mono(tid[order[c]]));
+    col_of_local[order[c]] = c;
+    frame->cols.push_back(mono(tid[order[c]]));
   }
-  for (auto& [m, i] : seen) i = col_of_id[i];
-  frame.index_ = std::move(seen);
-
-  frame.row_cols = std::move(row_ids);
-  for (auto& cols : frame.row_cols)
-    for (std::uint32_t& c : cols) c = col_of_id[c];
+  for (std::vector<std::uint32_t>& ids : rows) {
+    for (std::uint32_t& i : ids) i = col_of_local[i];
+  }
+  frame->row_cols = std::move(rows);
 
   // Pivot products in head-column order (strictly increasing: one product
-  // per reducible monomial). The multiplier is formed again for the layout,
-  // as the cost model counts it; the tail columns come from the table.
-  frame.pivot_of_col.assign(frame.cols.size(), -1);
-  for (std::uint32_t c = 0; c < frame.cols.size(); ++c) {
+  // per reducible monomial). The tail columns come from the table.
+  frame->pivot_of_col.assign(frame->cols.size(), -1);
+  std::uint64_t pivot_cells = 0;
+  for (std::uint32_t c = 0; c < frame->cols.size(); ++c) {
     std::int64_t k = state[order[c]];
     GBD_DCHECK(k >= -1);
     if (k < 0) continue;
     const Resolved& r = chosen[static_cast<std::size_t>(k)];
-    frame.pivot_of_col[c] = static_cast<std::int32_t>(frame.pivots.size());
-    PivotProduct pv{r.reducer, r.reducer_id, frame.cols[c] / r.reducer->hmono(), {}};
-    const SymbolicTable::Entry& e = tab.entries_[tid[r.head]];
+    frame->pivot_of_col[c] = static_cast<std::int32_t>(frame->pivots.size());
+    PivotProduct pv{r.reducer, r.reducer_id, frame->cols[c] / r.reducer->hmono(), {}};
+    const Entry& e = entries_[tid[r.head]];
     pv.cols.reserve(e.tail_len + 1);
     pv.cols.push_back(c);
     for (std::uint32_t i = 0; i < e.tail_len; ++i) {
-      pv.cols.push_back(col_of_id[tab.local_[tab.tails_[e.tail_at + i]]]);
+      pv.cols.push_back(col_of_local[local_[tails_[e.tail_at + i]]]);
     }
-    frame.pivots.push_back(std::move(pv));
+    pivot_cells += pv.cols.size();
+    frame->pivots.push_back(std::move(pv));
   }
 
-  st.frame_cols += frame.cols.size();
-  st.pivot_rows += frame.pivots.size();
-  st.work_rows += rows.size();
+  st.frame_cols += frame->cols.size();
+  st.pivot_rows += frame->pivots.size();
+  st.pivot_cells += pivot_cells;
+}
+
+namespace {
+
+/// Symbolic preprocessing is charged from its counts, DESIGN.md §20's
+/// symbolic term: nvars per frame column, pivot-product term and work-row
+/// term. What its monomial operations charge on the way (find_reducer's
+/// divisibility tests, products, the frame sort's comparisons) is dropped
+/// by rewinding the counter to its value at construction. That is only
+/// sound if nothing in between drains the counter into a machine clock, so
+/// no ReducerSet may yield, send, poll or open a trace span inside
+/// find_reducer; settle() checks that none did.
+class CountCharge {
+ public:
+  void settle(const PolyContext& ctx) const {
+    GBD_CHECK_MSG(CostCounter::drains() == drains_,
+                  "symbolic_preprocess: the cost counter was drained mid-batch");
+    const MatrixKernelStats& st = matrix_kernel_stats();
+    CostCounter::local() = units_;
+    CostCounter::charge(ctx.nvars() * ((st.frame_cols - counts_.frame_cols) +
+                                       (st.pivot_cells - counts_.pivot_cells) +
+                                       (st.work_cells - counts_.work_cells)));
+  }
+
+ private:
+  MatrixKernelStats counts_ = matrix_kernel_stats();
+  std::uint64_t units_ = CostCounter::peek();
+  std::uint64_t drains_ = CostCounter::drains();
+};
+
+}  // namespace
+
+SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<Polynomial>& rows,
+                                  const ReducerSet& reducers, SymbolicTable* table) {
+  const CountCharge charge;
+  SymbolicFrame frame;
+  SymbolicTable& tab = SymbolicTable::for_frame(&frame, reducers, table);
+  std::vector<std::vector<std::uint32_t>> ids(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    ids[r].reserve(rows[r].nterms());
+    for (const Term& t : rows[r].terms()) ids[r].push_back(tab.intern(t.mono));
+  }
+  matrix_kernel_stats().work_rows += rows.size();
+  tab.close(ctx, reducers, std::move(ids), &frame);
+  charge.settle(ctx);
+  return frame;
+}
+
+SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<SPair>& pairs,
+                                  const ReducerSet& reducers, SymbolicTable* table) {
+  const CountCharge charge;
+  SymbolicFrame frame;
+  SymbolicTable& tab = SymbolicTable::for_frame(&frame, reducers, table);
+  std::vector<std::vector<std::uint32_t>> ids(2 * pairs.size());
+  for (std::size_t r = 0; r < pairs.size(); ++r) {
+    tab.pair_tails(reducers, pairs[r], &ids[2 * r], &ids[2 * r + 1]);
+  }
+  MatrixKernelStats& st = matrix_kernel_stats();
+  st.work_rows += pairs.size();
+  st.pair_rows += pairs.size();
+  tab.close(ctx, reducers, std::move(ids), &frame);
+  charge.settle(ctx);
   return frame;
 }
 

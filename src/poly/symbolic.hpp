@@ -16,6 +16,11 @@
 // same divmask-prefiltered, deterministically-tie-broken lookup the per-poly
 // path uses — so for a fixed reducer set the matrix path cancels each
 // monomial against the exact polynomial the oracle would have picked.
+//
+// A batch row is either a polynomial or an s-pair of reducer-set elements.
+// An s-pair row is made of two halves (lcm/HMONO(g))·g, products of the kind
+// the table already forms and caches for pivots, so the closure walks their
+// tail ids and no s-polynomial is ever formed (DESIGN.md §20).
 #pragma once
 
 #include <cstdint>
@@ -30,15 +35,23 @@
 namespace gbd {
 
 /// Thread-local counters for the batched kernel, mirroring GeobucketStats /
-/// FindReducerStats: windowed per run by the metrics registry.
+/// FindReducerStats: windowed per run by the metrics registry. The matrix
+/// path charges its cost units from these counts (DESIGN.md §20).
 struct MatrixKernelStats {
   std::uint64_t batches = 0;        ///< symbolic_preprocess calls
   std::uint64_t frame_cols = 0;     ///< frame monomials (matrix columns)
   std::uint64_t pivot_rows = 0;     ///< scheduled reducer products
+  std::uint64_t pivot_cells = 0;    ///< terms of the scheduled reducer products
   std::uint64_t work_rows = 0;      ///< batch rows fed in
+  std::uint64_t work_cells = 0;     ///< terms the batch rows fed in (an s-pair: both halves' tails)
   std::uint64_t rows_zeroed = 0;    ///< work rows eliminated to zero
   std::uint64_t axpys = 0;          ///< row-elimination updates
+  std::uint64_t axpy_cells = 0;     ///< Zp stage 1: pivot terms over all eliminations
+  std::uint64_t merge_cells = 0;    ///< Zp stage 2: terms of both rows over all combinations
   std::uint64_t dense_cells = 0;    ///< Zp accumulator cells scanned
+  // s-pair rows (SPair batches).
+  std::uint64_t pair_rows = 0;           ///< work rows built from s-pairs
+  std::uint64_t pair_halves_shared = 0;  ///< halves walked from a cached pivot product, not formed
   // Zp sweep dispatch (poly/simd.hpp): the AVX2 block lanes against the
   // scalar levels (scalar block lanes, or the Montgomery rows for p ≥ 2^32).
   std::uint64_t simd_rows = 0;      ///< work rows swept on the AVX2 lanes
@@ -72,6 +85,17 @@ struct PivotProduct {
   std::vector<std::uint32_t> cols;
 };
 
+/// A batch row given as an s-pair of reducer-set elements, by the ids
+/// ReducerSet::by_id resolves. Its row is
+///   (lcm/HMONO(g_i))·g_i/HCOEF(g_i) − (lcm/HMONO(g_j))·g_j/HCOEF(g_j),
+/// lcm = lcm(HMONO(g_i), HMONO(g_j)): over Z/pZ the s-polynomial up to a
+/// nonzero factor, which the monic output of the elimination absorbs.
+/// Zp only (build_matrix reads the halves' monic residues).
+struct SPair {
+  std::uint64_t i = 0;
+  std::uint64_t j = 0;
+};
+
 struct MonoHash {
   std::size_t operator()(const Monomial& m) const { return m.hash(); }
 };
@@ -91,6 +115,15 @@ class SymbolicTable;
 SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<Polynomial>& rows,
                                   const ReducerSet& reducers, SymbolicTable* table = nullptr);
 
+/// The same for a batch of s-pairs over `reducers` (every id must resolve
+/// through ReducerSet::by_id): the closure starts from each pair's two
+/// halves, walked or formed as table products. Pair r's halves are rows
+/// 2r and 2r + 1 of the frame's row_cols (each the columns of its tail;
+/// the lcm cancels and has no column); build_matrix(frame, pairs, coeff)
+/// merges them.
+SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<SPair>& pairs,
+                                  const ReducerSet& reducers, SymbolicTable* table = nullptr);
+
 /// The monomial table of one F4 run. Every monomial the run meets is
 /// interned once to a dense u32 id, and three things hang off the id:
 ///
@@ -100,10 +133,11 @@ SymbolicFrame symbolic_preprocess(const PolyContext& ctx, const std::vector<Poly
 ///     elements never change under the append-only contract, and a newcomer
 ///     can only displace the previous winner if its head divides the
 ///     monomial;
-///   · the tail ids of the product mult·g for the reducer g the entry last
-///     chose. The product depends only on (monomial, g), so it stays valid
-///     for as long as the chosen reducer id does; a memo hit walks these ids
-///     and forms no monomial and hashes nothing;
+///   · the tail ids of the product (m / HMONO(g))·g for the reducer g the
+///     entry last chose: its pivot product, which is also the half at m of
+///     any s-pair with g in it. The product depends only on (m, g), so it
+///     stays valid for as long as the chosen reducer id does; a hit walks
+///     these ids and forms no monomial and hashes nothing;
 ///   · the batch mark: a symbolic_preprocess call numbers its batch and
 ///     marks each id the first time the closure reaches it.
 ///
@@ -134,6 +168,8 @@ class SymbolicTable {
  private:
   friend SymbolicFrame symbolic_preprocess(const PolyContext&, const std::vector<Polynomial>&,
                                            const ReducerSet&, SymbolicTable*);
+  friend SymbolicFrame symbolic_preprocess(const PolyContext&, const std::vector<SPair>&,
+                                           const ReducerSet&, SymbolicTable*);
 
   static constexpr std::uint64_t kNoProduct = ~std::uint64_t{0};
   enum class Resolution : std::uint8_t { kUnknown, kIrreducible, kReducible };
@@ -146,6 +182,11 @@ class SymbolicTable {
     std::uint32_t tail_len = 0;
   };
 
+  /// The table `frame` is built on: `table` when resolutions may carry
+  /// across calls (a caller's table over a versioned set), else one the
+  /// frame owns, which keeps no memo.
+  static SymbolicTable& for_frame(SymbolicFrame* frame, const ReducerSet& reducers,
+                                  SymbolicTable* table);
   /// The id of m, interned on first sight.
   std::uint32_t intern(const Monomial& m);
   const Monomial& mono(std::uint32_t id) const { return *monos_[id]; }
@@ -154,6 +195,20 @@ class SymbolicTable {
   /// Cache `tail` as the product tail of `id` for reducer `reducer_id`.
   void store_tail(std::uint32_t id, std::uint64_t reducer_id,
                   const std::vector<std::uint32_t>& tail);
+  /// The reducer of mono(id) (*reducer_id: its set id), or nullptr when it
+  /// is irreducible: from the memo while still valid, else from
+  /// find_reducer, recorded in the memo (a frame's own table keeps none).
+  const Polynomial* resolve(std::uint32_t id, const ReducerSet& reducers,
+                            std::uint64_t* reducer_id);
+  /// The tail ids of `pair`'s halves (lcm/HMONO(g))·g into *tail_i and
+  /// *tail_j. The half of the lcm's own reducer is the lcm's pivot product:
+  /// walked from its cached tail, or formed and cached there.
+  void pair_tails(const ReducerSet& reducers, const SPair& pair,
+                  std::vector<std::uint32_t>* tail_i, std::vector<std::uint32_t>* tail_j);
+  /// The closure of a batch whose rows are given as table ids, into
+  /// *frame: its columns, pivots and row_cols (`rows` mapped to columns).
+  void close(const PolyContext& ctx, const ReducerSet& reducers,
+             std::vector<std::vector<std::uint32_t>> rows, SymbolicFrame* frame);
 
   std::unordered_map<Monomial, std::uint32_t, MonoHash> ids_;
   std::vector<const Monomial*> monos_;  ///< keys of ids_ (node-stable)
@@ -162,6 +217,7 @@ class SymbolicTable {
   std::vector<std::uint32_t> mark_;   ///< per id: the batch that last reached it
   std::vector<std::uint32_t> local_;  ///< per id: its index within that batch
   std::uint32_t batch_ = 0;
+  bool memo_ = true;  ///< resolutions are reused across batches
   std::uint64_t zp_prime_ = 0;
   std::unordered_map<std::uint64_t, ZpCoeffs> zp_;  ///< by reducer id
 };
@@ -182,7 +238,8 @@ struct SymbolicFrame {
   /// Per column: index into `pivots` of the product whose head covers it,
   /// or -1 when the column's monomial is irreducible.
   std::vector<std::int32_t> pivot_of_col;
-  /// Per batch row (in input order): the column of each of its terms.
+  /// Per batch row (in input order): the column of each of its terms. A
+  /// batch of s-pairs has two rows per pair, its halves' tails.
   std::vector<std::vector<std::uint32_t>> row_cols;
   /// The table the frame was built from; build_matrix reads the reducers'
   /// cached coefficients from it. Points at `own_table` when the caller
@@ -191,14 +248,6 @@ struct SymbolicFrame {
   std::unique_ptr<SymbolicTable> own_table;
 
   std::size_t ncols() const { return cols.size(); }
-
-  /// Column of a monomial, or -1 if it is not in the frame.
-  std::int64_t col_of(const Monomial& m) const {
-    auto it = index_.find(m);
-    return it == index_.end() ? -1 : static_cast<std::int64_t>(it->second);
-  }
-
-  std::unordered_map<Monomial, std::uint32_t, MonoHash> index_;
 };
 
 }  // namespace gbd

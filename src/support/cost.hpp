@@ -28,6 +28,7 @@ struct CostCounter {
 
   /// Read and reset the calling thread's counter.
   static std::uint64_t drain() {
+    drains() += 1;
     std::uint64_t& c = local();
     std::uint64_t v = c;
     c = 0;
@@ -36,6 +37,13 @@ struct CostCounter {
 
   /// Read without resetting.
   static std::uint64_t peek() { return local(); }
+
+  /// How many times drain() ran on the calling thread. Code that rewinds
+  /// the counter (symbolic_preprocess) checks that none ran in between.
+  static std::uint64_t& drains() {
+    thread_local std::uint64_t n = 0;
+    return n;
+  }
 };
 
 /// RAII scope that measures the work performed inside it.

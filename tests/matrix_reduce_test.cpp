@@ -19,15 +19,20 @@
 //     jobs and still reconstructs the exact rational answer;
 //   · the run table and stage 2 on columns: frames from one table kept for a
 //     whole run equal frames from a fresh table every round, and the
-//     column-space stage 2 equals the polynomial-level oracle, rows and
-//     charged units both.
+//     column-space stage 2 equals the polynomial-level oracle;
+//   · s-pair rows: reduce_pairs, which builds each row from its pair's two
+//     halves, equals reduce_batch over the pairs' s-polynomials row for row;
+//   · charges from counts: every Zp matrix charges DESIGN.md §20's formula
+//     on its own counts.
 #include "poly/echelon.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bigint/zp.hpp"
@@ -256,18 +261,19 @@ TEST(MatrixGlpTest, SimMatchesSequentialOracle) {
   }
 }
 
-// Charged cost units are the simulated machine's clock, so representation
-// changes (inline monomials, frame column lists) must not move them. These
-// figures were recorded before either change; they hold with SIMD dispatch on
-// or off, and for any prime (the charges count term operations, not values).
+// Charged cost units are the simulated machine's clock, so kernel changes
+// that keep the matrix path's counts must not move them. These figures were
+// recorded when the matrix path moved to charges from counts (DESIGN.md
+// §20); they hold with SIMD dispatch on or off, and for any prime (the
+// charges count cells and terms, not values).
 TEST(MatrixCostParityTest, ChargedUnitsArePinned) {
   {
     GbConfig cfg;
     cfg.coeff = CoeffOptions::zp(kPrimes[0]);
     cfg.matrix_reduce = true;
     SequentialResult r = groebner_sequential(load_problem("katsura(5)"), cfg);
-    EXPECT_EQ(r.stats.work_units, 745172u);
-    EXPECT_EQ(r.elapsed_units, 745172u);
+    EXPECT_EQ(r.stats.work_units, 476719u);
+    EXPECT_EQ(r.elapsed_units, 476719u);
   }
   {
     ParallelConfig cfg;
@@ -275,30 +281,31 @@ TEST(MatrixCostParityTest, ChargedUnitsArePinned) {
     cfg.gb.coeff = CoeffOptions::zp(kPrimes[0]);
     cfg.gb.matrix_reduce = true;
     ParallelResult r = groebner_parallel(load_problem("katsura(5)"), cfg);
-    EXPECT_EQ(r.stats.work_units, 8320541u);
-    EXPECT_EQ(r.elapsed_units, 3216034u);
+    EXPECT_EQ(r.stats.work_units, 7433825u);
+    EXPECT_EQ(r.elapsed_units, 2962102u);
   }
   {
-    // The exact sweep reads pivot products straight from the frame.
+    // The exact sweep reads pivot products straight from the frame and
+    // charges per step; its symbolic layer and build charge from counts.
     ParallelConfig cfg;
     cfg.nprocs = 4;
     cfg.gb.matrix_reduce = true;
     ParallelResult r = groebner_parallel(load_problem("katsura4"), cfg);
-    EXPECT_EQ(r.stats.work_units, 11288557u);
-    EXPECT_EQ(r.elapsed_units, 6183706u);
+    EXPECT_EQ(r.stats.work_units, 11250472u);
+    EXPECT_EQ(r.elapsed_units, 6140860u);
   }
 }
 
 TEST(MatrixCostParityTest, ThreadedSweepChargesArePinned) {
-  // Recorded before the run table and column-space stage 2. Three sweep
-  // workers write column rows in parallel; the makespan charge must not move.
+  // Three sweep workers write column rows in parallel. A Zp matrix charges
+  // its counts, which no thread count changes: the one-thread figure above.
   GbConfig cfg;
   cfg.coeff = CoeffOptions::zp(kPrimes[0]);
   cfg.matrix_reduce = true;
   cfg.matrix_threads = 3;
   SequentialResult r = groebner_sequential(load_problem("katsura(5)"), cfg);
-  EXPECT_EQ(r.stats.work_units, 665737u);
-  EXPECT_EQ(r.elapsed_units, 665737u);
+  EXPECT_EQ(r.stats.work_units, 476719u);
+  EXPECT_EQ(r.elapsed_units, 476719u);
 }
 
 TEST(MatrixGlpTest, ChaosScheduleStaysCoherent) {
@@ -597,14 +604,14 @@ TEST(MatrixGlpTest, KernelLanesAreDeterministicOnSimAndMatchOracle) {
   cfg.gb.coeff = coeff;
   cfg.gb.matrix_reduce = true;
   cfg.gb.matrix_batch_max = 8;
-  cfg.gb.matrix_threads = 3;  // sim grants lanes freely; makespan-charged
+  cfg.gb.matrix_threads = 3;  // sim grants lanes freely
   cfg.nprocs = 4;
   cfg.seed = 3;
   ParallelResult r1 = groebner_parallel(sys, cfg);
   ParallelResult r2 = groebner_parallel(sys, cfg);
   // Virtual time must be a pure function of the configuration — real lane
-  // threads may interleave arbitrarily, but the makespan charge is the max
-  // per-lane tally, which is schedule-independent.
+  // threads may interleave arbitrarily, but a Zp matrix charges its counts,
+  // which are schedule-independent.
   EXPECT_EQ(r1.machine.makespan, r2.machine.makespan);
 
   cfg.gb.matrix_threads = 1;
@@ -667,8 +674,8 @@ TEST(MatrixModularTest, PerPrimeJobsInheritMatrixReduce) {
 
 TEST(MatrixStageTwoTest, ColumnSpaceMatchesPolynomialOracle) {
   // echelon_reduce with interreduce on must return exactly what the
-  // polynomial-level stage 2 makes of its interreduce-off output — same
-  // rows, same zeroed sources — and charge exactly what that stage charges.
+  // polynomial-level stage 2 makes of its interreduce-off output: same
+  // rows, same zeroed sources.
   std::uint64_t combinations = 0;
   for (const char* name : {"katsura(5)", "katsura(6)", "cyclic(5)", "trinks1", "eco(6)"}) {
     PolySystem base = load_problem(name);
@@ -699,17 +706,11 @@ TEST(MatrixStageTwoTest, ColumnSpaceMatchesPolynomialOracle) {
             off.interreduce = false;
 
             const std::uint64_t axpys0 = matrix_kernel_stats().axpys;
-            CostScope off_cost;
             EchelonOutput swept = echelon_reduce(sys.ctx, frame, mat, off);
-            const std::uint64_t off_units = off_cost.elapsed();
             const std::uint64_t axpys1 = matrix_kernel_stats().axpys;
-            CostScope on_cost;
             EchelonOutput got = echelon_reduce(sys.ctx, frame, mat, on);
-            const std::uint64_t on_units = on_cost.elapsed();
             combinations += (matrix_kernel_stats().axpys - axpys1) - (axpys1 - axpys0);
-            CostScope oracle_cost;
             EchelonOutput want = oracle::zp_interreduce_polys(sys.ctx, field, std::move(swept));
-            const std::uint64_t oracle_units = oracle_cost.elapsed();
 
             EXPECT_EQ(got.src_zeroed, want.src_zeroed) << label;
             ASSERT_EQ(got.rows.size(), want.rows.size()) << label;
@@ -717,7 +718,6 @@ TEST(MatrixStageTwoTest, ColumnSpaceMatchesPolynomialOracle) {
               EXPECT_EQ(got.rows[i].src, want.rows[i].src) << label << " row " << i;
               EXPECT_TRUE(got.rows[i].poly.equals(want.rows[i].poly)) << label << " row " << i;
             }
-            EXPECT_EQ(on_units - off_units, oracle_units) << label;
           }
         }
       }
@@ -726,7 +726,7 @@ TEST(MatrixStageTwoTest, ColumnSpaceMatchesPolynomialOracle) {
   EXPECT_GT(combinations, 0u) << "no input reached a stage-2 combination";
 }
 
-/// Field-by-field frame equality (col_of is `cols` inverted).
+/// Field-by-field frame equality.
 void expect_same_frame(const SymbolicFrame& a, const SymbolicFrame& b, const std::string& label) {
   ASSERT_EQ(a.cols.size(), b.cols.size()) << label;
   for (std::size_t c = 0; c < a.cols.size(); ++c) {
@@ -821,9 +821,9 @@ TEST(MatrixTableTest, DisplacedReducerRederivesTheCachedProduct) {
     SymbolicFrame run = symbolic_preprocess(ctx, rows, set, &table);
     EXPECT_EQ(ks.product_cache_hits - hits_before, want_cache_hits) << label;
     expect_same_frame(run, symbolic_preprocess(ctx, rows, set), label);
-    const std::int64_t c = run.col_of(m);
-    ASSERT_GE(c, 0) << label;
-    const std::int32_t pv = run.pivot_of_col[static_cast<std::size_t>(c)];
+    const auto c = std::find(run.cols.begin(), run.cols.end(), m);
+    ASSERT_NE(c, run.cols.end()) << label;
+    const std::int32_t pv = run.pivot_of_col[static_cast<std::size_t>(c - run.cols.begin())];
     ASSERT_GE(pv, 0) << label;
     EXPECT_EQ(run.pivots[static_cast<std::size_t>(pv)].reducer_id, want_reducer) << label;
   };
@@ -832,6 +832,235 @@ TEST(MatrixTableTest, DisplacedReducerRederivesTheCachedProduct) {
   basis.push_back(parse_poly_or_die(ctx, "x*y + z"));
   round("after the displacing append", 1, 0);
   round("unchanged again", 1, 1);
+}
+
+// ——— s-pair rows and charges from counts ———
+
+/// Every non-coprime pair of `gens` as an SPair, then (0, 0): one element
+/// against itself, identical halves and so an empty row.
+std::vector<SPair> all_spairs(const std::vector<Polynomial>& gens) {
+  std::vector<SPair> pairs;
+  for (std::uint64_t j = 0; j < gens.size(); ++j) {
+    for (std::uint64_t i = 0; i < j; ++i) {
+      if (!Monomial::coprime(gens[i].hmono(), gens[j].hmono())) pairs.push_back(SPair{i, j});
+    }
+  }
+  if (!gens.empty()) pairs.push_back(SPair{0, 0});
+  return pairs;
+}
+
+/// The rows reduce_batch gets for the same pairs: their monic s-polynomials.
+std::vector<Polynomial> spolys_of(const PolyContext& ctx, const std::vector<Polynomial>& gens,
+                                  const std::vector<SPair>& pairs, const CoeffOptions& coeff) {
+  std::vector<Polynomial> rows;
+  for (const SPair& pr : pairs) rows.push_back(spoly(ctx, gens[pr.i], gens[pr.j], coeff));
+  return rows;
+}
+
+/// Pairs whose halves cancel some tail cell, beyond the cancelled head: the
+/// s-polynomial has fewer terms than the halves have distinct monomials.
+std::size_t pairs_cancelling_tails(const std::vector<Polynomial>& gens,
+                                   const std::vector<SPair>& pairs,
+                                   const std::vector<Polynomial>& rows) {
+  std::size_t n = 0;
+  for (std::size_t r = 0; r < pairs.size(); ++r) {
+    const Polynomial& a = gens[pairs[r].i];
+    const Polynomial& b = gens[pairs[r].j];
+    const Monomial lcm = Monomial::lcm(a.hmono(), b.hmono());
+    std::unordered_set<Monomial, MonoHash> monos;
+    for (const Polynomial* g : {&a, &b}) {
+      const Monomial mult = lcm / g->hmono();
+      for (std::size_t k = 1; k < g->nterms(); ++k) monos.insert(g->terms()[k].mono * mult);
+    }
+    if (rows[r].nterms() < monos.size()) ++n;
+  }
+  return n;
+}
+
+TEST(PairRowTest, PairRowsMatchSpolyRowsEverywhere) {
+  // reduce_pairs builds each row from its pair's halves; reduce_batch gets
+  // the pair's s-polynomial. Rows, sources and zeroed flags must agree
+  // exactly, for every order, field size, dispatch and thread count, with
+  // stage 2 on and off.
+  const std::uint64_t primes[] = {kPrimes[0], kPrimes[1], kPrimes[2],
+                                  prev_prime_u64(std::uint64_t{1} << 62)};
+  std::size_t cancelling = 0, empty_rows = 0, zeroed = 0;
+  for (const char* name : {"katsura(5)", "katsura(6)", "cyclic(5)", "trinks1", "eco(6)"}) {
+    PolySystem base = load_problem(name);
+    for (OrderKind order :
+         {OrderKind::kLex, OrderKind::kGrLex, OrderKind::kGRevLex, OrderKind::kElim}) {
+      PolySystem sys = with_order(base, order);
+      for (std::uint64_t p : primes) {
+        const CoeffOptions zp = CoeffOptions::zp(p);
+        std::vector<Polynomial> gens = canonical_set(sys.ctx, sys.polys, zp);
+        VectorReducerSet set(&gens);
+        const std::vector<SPair> pairs = all_spairs(gens);
+        const std::vector<Polynomial> rows = spolys_of(sys.ctx, gens, pairs, zp);
+        cancelling += pairs_cancelling_tails(gens, pairs, rows);
+        for (const Polynomial& r : rows) empty_rows += r.is_zero() ? 1 : 0;
+        for (bool force_scalar : {false, true}) {
+          std::optional<ScopedSimdEnv> scalar;
+          if (force_scalar) scalar.emplace("1");
+          for (std::size_t threads : {1u, 3u}) {
+            for (bool interreduce : {true, false}) {
+              const std::string label = std::string(name) + " " + order_name(order) + " mod " +
+                                        std::to_string(p) + (force_scalar ? " scalar" : " auto") +
+                                        " threads " + std::to_string(threads) +
+                                        (interreduce ? " stage 2" : " no stage 2");
+              EchelonOptions opts;
+              opts.coeff = zp;
+              opts.nthreads = threads;
+              opts.interreduce = interreduce;
+              const EchelonOutput want = reduce_batch(sys.ctx, rows, set, opts);
+              const EchelonOutput got = reduce_pairs(sys.ctx, pairs, set, opts);
+              expect_same_output(got, want, label);
+              for (bool z : want.src_zeroed) zeroed += z ? 1 : 0;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cancelling, 0u) << "no pair cancelled a tail cell";
+  EXPECT_GT(empty_rows, 0u) << "no pair had identical halves";
+  EXPECT_GT(zeroed, 0u) << "no pair row was eliminated to zero";
+}
+
+TEST(PairRowTest, CancellingAndIdenticalHalvesThroughARunTable) {
+  // g0, g1 share the head and y^2, so their halves cancel beyond the head;
+  // g2 is 3·g0, whose monic image is g0's: identical halves under distinct
+  // ids. Through a run table kept over two calls, the second call walks
+  // every half whose element is its lcm's reducer: that half is the lcm's
+  // cached pivot product.
+  PolySystem sys = parse_system_or_die(R"(
+    vars x, y, z;
+    order grevlex;
+    x^2 + y^2 + z;
+    x^2 + y^2 + 1;
+    3*x^2 + 3*y^2 + 3*z;
+    x*y + y^2 + z^2;
+    y^3 + x*z + 1;
+  )");
+  const std::vector<SPair> pairs = {{0, 1}, {0, 2}, {1, 2}, {0, 3}, {2, 3},
+                                    {3, 4}, {1, 4}, {1, 1}, {4, 3}};
+  for (std::uint64_t p : {kPrimes[0], kPrimes[2], prev_prime_u64(std::uint64_t{1} << 62)}) {
+    const CoeffOptions zp = CoeffOptions::zp(p);
+    std::vector<Polynomial> gens = canonical_set(sys.ctx, sys.polys, zp);
+    ASSERT_EQ(gens.size(), 5u);
+    VectorReducerSet set(&gens);
+    const std::vector<Polynomial> rows = spolys_of(sys.ctx, gens, pairs, zp);
+    EXPECT_EQ(pairs_cancelling_tails(gens, {pairs[0]}, {rows[0]}), 1u);
+    EXPECT_TRUE(rows[1].is_zero());
+    EchelonOptions opts;
+    opts.coeff = zp;
+    const EchelonOutput want = reduce_batch(sys.ctx, rows, set, opts);
+    std::uint64_t pivot_halves = 0;
+    for (const SPair& pr : pairs) {
+      std::uint64_t id = 0;
+      set.find_reducer(Monomial::lcm(gens[pr.i].hmono(), gens[pr.j].hmono()), &id);
+      pivot_halves += (id == pr.i ? 1 : 0) + (id == pr.j ? 1 : 0);
+    }
+    EXPECT_GT(pivot_halves, 0u);
+    SymbolicTable table;
+    const MatrixKernelStats& ks = matrix_kernel_stats();
+    for (int call = 0; call < 2; ++call) {
+      const std::string label = "mod " + std::to_string(p) + " call " + std::to_string(call);
+      const std::uint64_t shared_before = ks.pair_halves_shared;
+      const std::uint64_t rows_before = ks.pair_rows;
+      expect_same_output(reduce_pairs(sys.ctx, pairs, set, opts, &table), want, label);
+      EXPECT_EQ(ks.pair_rows - rows_before, pairs.size()) << label;
+      if (call == 1) {
+        EXPECT_EQ(ks.pair_halves_shared - shared_before, pivot_halves) << label;
+      }
+    }
+  }
+}
+
+/// DESIGN.md §20: the units one Zp matrix charges, from its counts (the
+/// deltas between two snapshots of matrix_kernel_stats around it).
+std::uint64_t formula_units(const MatrixKernelStats& a, const MatrixKernelStats& b,
+                            std::uint64_t nvars) {
+  auto d = [&](std::uint64_t MatrixKernelStats::*f) { return b.*f - a.*f; };
+  return nvars * d(&MatrixKernelStats::frame_cols) +
+         (nvars + 1) * (d(&MatrixKernelStats::pivot_cells) + d(&MatrixKernelStats::work_cells)) +
+         d(&MatrixKernelStats::axpy_cells) + d(&MatrixKernelStats::dense_cells) / 8 +
+         (nvars + 1) * d(&MatrixKernelStats::merge_cells);
+}
+
+TEST(MatrixChargeTest, EveryZpBatchChargesTheFormula) {
+  // Around one reduce_batch, reduce_pairs or reduce_tails call, the units
+  // charged equal the formula on that call's counts, and so do not depend
+  // on dispatch or thread count.
+  std::uint64_t merge_cells = 0;
+  for (const char* name : {"katsura(5)", "cyclic(5)", "trinks1"}) {
+    PolySystem sys = load_problem(name);
+    for (std::uint64_t p : {kPrimes[0], prev_prime_u64(std::uint64_t{1} << 62)}) {
+      const CoeffOptions zp = CoeffOptions::zp(p);
+      std::vector<Polynomial> gens = canonical_set(sys.ctx, sys.polys, zp);
+      VectorReducerSet set(&gens);
+      const std::vector<SPair> pairs = all_spairs(gens);
+      const std::vector<Polynomial> rows = spolys_of(sys.ctx, gens, pairs, zp);
+      std::uint64_t first[3] = {0, 0, 0};
+      for (bool force_scalar : {false, true}) {
+        std::optional<ScopedSimdEnv> scalar;
+        if (force_scalar) scalar.emplace("1");
+        for (std::size_t threads : {1u, 3u}) {
+          const std::string label = std::string(name) + " mod " + std::to_string(p) +
+                                    (force_scalar ? " scalar" : " auto") + " threads " +
+                                    std::to_string(threads);
+          EchelonOptions opts;
+          opts.coeff = zp;
+          opts.nthreads = threads;
+          for (int call = 0; call < 3; ++call) {
+            const MatrixKernelStats before = matrix_kernel_stats();
+            CostScope cost;
+            if (call == 0) {
+              reduce_batch(sys.ctx, rows, set, opts);
+            } else if (call == 1) {
+              reduce_pairs(sys.ctx, pairs, set, opts);
+            } else {
+              reduce_tails(sys.ctx, gens, set, opts);
+            }
+            const std::uint64_t units = cost.elapsed();
+            const MatrixKernelStats& after = matrix_kernel_stats();
+            EXPECT_EQ(after.batches - before.batches, 1u) << label << " call " << call;
+            EXPECT_EQ(units, formula_units(before, after, sys.ctx.nvars()))
+                << label << " call " << call;
+            merge_cells += after.merge_cells - before.merge_cells;
+            if (first[call] == 0) first[call] = units;
+            EXPECT_EQ(units, first[call]) << label << " call " << call;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(merge_cells, 0u) << "no batch reached a stage-2 combination";
+}
+
+/// A reducer set that drains the cost counter on every lookup, as a set
+/// that yielded to a machine mid-search would.
+class DrainingReducerSet final : public ReducerSet {
+ public:
+  explicit DrainingReducerSet(const std::vector<Polynomial>* polys) : inner_(polys) {}
+  const Polynomial* find_reducer(const Monomial& m, std::uint64_t* out_id) const override {
+    CostCounter::drain();
+    return inner_.find_reducer(m, out_id);
+  }
+  const Polynomial* by_id(std::uint64_t id) const override { return inner_.by_id(id); }
+
+ private:
+  VectorReducerSet inner_;
+};
+
+TEST(MatrixChargeTest, DrainDuringSymbolicPreprocessingIsCaught) {
+  // symbolic_preprocess rewinds the counter to drop its monomial charges;
+  // after a drain that would hand back units the clock already has.
+  PolySystem sys = load_problem("katsura(4)");
+  const CoeffOptions zp = CoeffOptions::zp(kPrimes[0]);
+  std::vector<Polynomial> gens = canonical_set(sys.ctx, sys.polys, zp);
+  const std::vector<Polynomial> rows = spolys_of(sys.ctx, gens, all_spairs(gens), zp);
+  DrainingReducerSet set(&gens);
+  EXPECT_DEATH(symbolic_preprocess(sys.ctx, rows, set), "drained mid-batch");
 }
 
 }  // namespace

@@ -252,21 +252,27 @@ TEST(ObsEndToEndTest, MetricsCoverEveryLayer) {
 
 TEST(ObsEndToEndTest, MatrixRunTableAndStageTwoSeries) {
   // A sequential Zp matrix run keeps one monomial table: its interned
-  // monomials, cached-product walks and stage-2 time are windowed into
-  // kernel.matrix.* like every other kernel counter.
+  // monomials, cached-product walks, s-pair rows and stage-2 time are
+  // windowed into kernel.matrix.* like every other kernel counter.
   PolySystem sys = load_problem("katsura4");
   GbConfig cfg;
   cfg.coeff = CoeffOptions::zp(prev_prime_u64(std::uint64_t{1} << 31));
   cfg.matrix_reduce = true;
   MetricsRegistry reg(1);
   KernelBaseline base = kernel_baseline();
-  groebner_sequential(sys, cfg);
+  SequentialResult res = groebner_sequential(sys, cfg);
   collect_kernel_delta(reg, 0, base);
   MetricsSnapshot snap = reg.snapshot();
-  for (const char* name : {"kernel.matrix.table_monomials", "kernel.matrix.product_cache_hits",
-                           "kernel.matrix.interreduce_ns", "kernel.simd.sweep_ns"}) {
+  for (const char* name :
+       {"kernel.matrix.table_monomials", "kernel.matrix.product_cache_hits",
+        "kernel.matrix.interreduce_ns", "kernel.simd.sweep_ns", "kernel.matrix.pivot_cells",
+        "kernel.matrix.work_cells", "kernel.matrix.axpy_cells", "kernel.matrix.merge_cells"}) {
     EXPECT_GT(snap.total(name), 0u) << name;
   }
+  // Every s-pair of a sequential Zp matrix run becomes a pair row.
+  EXPECT_GT(res.stats.spolys_computed, 0u);
+  EXPECT_EQ(snap.total("kernel.matrix.pair_rows"), res.stats.spolys_computed);
+  EXPECT_NE(snap.find("kernel.matrix.pair_halves_shared"), nullptr);
 }
 
 TEST(ObsEndToEndTest, PerfettoExportIsStructurallySound) {

@@ -359,7 +359,8 @@ Charges expect_reduce_basis_matches_oracle(const PolyContext& ctx,
 }
 
 /// Charged units (one per kZpDiffPrimes entry) and find_reducer probes of
-/// the Zp matrix reduce_basis, recorded once. Identical for either sweep
+/// the Zp matrix reduce_basis, recorded when the matrix path moved to
+/// charges from counts (DESIGN.md §20). Identical for either sweep
 /// dispatch (GBD_DISABLE_SIMD). On duplicate heads the 62-bit prime charges
 /// more, by as much as it does in the oracle: the extra is in the input
 /// normalization both share. The per-poly path this replaced charged, for
@@ -371,26 +372,26 @@ struct ZpPin {
   std::uint64_t probes;
 };
 const ZpPin kZpReduceBasisPins[] = {
-    {"arnborg4 lex raw", {1626, 1626, 1626}, 162},
-    {"arnborg4 lex dup", {2491, 2491, 2579}, 162},
-    {"arnborg4 grlex raw", {1174, 1174, 1174}, 168},
-    {"arnborg4 grlex dup", {1698, 1698, 1746}, 168},
-    {"arnborg4 grevlex raw", {2343, 2343, 2343}, 287},
-    {"arnborg4 grevlex dup", {2889, 2889, 2929}, 287},
-    {"arnborg4 elim raw", {1125, 1125, 1125}, 120},
-    {"arnborg4 elim dup", {1813, 1813, 1881}, 120},
-    {"katsura4 grlex raw", {12024, 12024, 12024}, 976},
-    {"katsura4 grlex dup", {14233, 14233, 14517}, 976},
-    {"katsura4 grevlex raw", {14022, 14022, 14022}, 1079},
-    {"katsura4 grevlex dup", {15558, 15558, 15742}, 1079},
-    {"katsura4 elim raw", {10748, 10748, 10748}, 494},
-    {"katsura4 elim dup", {18755, 18755, 20551}, 494},
-    {"trinks1 grlex raw", {8974, 8974, 8974}, 756},
-    {"trinks1 grlex dup", {10533, 10533, 10713}, 756},
-    {"trinks1 grevlex raw", {8156, 8156, 8156}, 676},
-    {"trinks1 grevlex dup", {9621, 9621, 9809}, 676},
-    {"trinks1 elim raw", {3527, 3527, 3527}, 225},
-    {"trinks1 elim dup", {4740, 4740, 4856}, 225},
+    {"arnborg4 lex raw", {852, 852, 852}, 162},
+    {"arnborg4 lex dup", {1717, 1717, 1805}, 162},
+    {"arnborg4 grlex raw", {621, 621, 621}, 168},
+    {"arnborg4 grlex dup", {1145, 1145, 1193}, 168},
+    {"arnborg4 grevlex raw", {1030, 1030, 1030}, 287},
+    {"arnborg4 grevlex dup", {1576, 1576, 1616}, 287},
+    {"arnborg4 elim raw", {653, 653, 653}, 120},
+    {"arnborg4 elim dup", {1341, 1341, 1409}, 120},
+    {"katsura4 grlex raw", {7610, 7610, 7610}, 976},
+    {"katsura4 grlex dup", {9819, 9819, 10103}, 976},
+    {"katsura4 grevlex raw", {7569, 7569, 7569}, 1079},
+    {"katsura4 grevlex dup", {9105, 9105, 9289}, 1079},
+    {"katsura4 elim raw", {8503, 8503, 8503}, 494},
+    {"katsura4 elim dup", {16510, 16510, 18306}, 494},
+    {"trinks1 grlex raw", {4995, 4995, 4995}, 756},
+    {"trinks1 grlex dup", {6554, 6554, 6734}, 756},
+    {"trinks1 grevlex raw", {4651, 4651, 4651}, 676},
+    {"trinks1 grevlex dup", {6116, 6116, 6304}, 676},
+    {"trinks1 elim raw", {2322, 2322, 2322}, 225},
+    {"trinks1 elim dup", {3535, 3535, 3651}, 225},
 };
 
 TEST(ReduceBasisOracleTest, MatchesCopyingOracleInEveryOrderAndField) {

@@ -292,10 +292,9 @@ int run_matrix_mode(bool smoke, const std::string& out_path, int repeat) {
 //
 //   reduce_kernel --pr8 [--smoke] [--repeat N] [--out FILE]
 //
-// runs the sequential matrix engine mod p on each problem three ways —
-// dispatch pinned scalar (GBD_DISABLE_SIMD set for that run), automatic
-// dispatch (the vector sweep where the host supports it), and automatic
-// dispatch + 2 kernel lanes — checks all three reach
+// runs the sequential matrix engine mod p on each problem two ways —
+// dispatch pinned scalar (GBD_DISABLE_SIMD set for that run) and automatic
+// dispatch (the vector sweep where the host supports it) — checks both reach
 // the bit-identical reduced basis, and reports min-of-N whole-run times
 // plus the stage-1 sweep time (the dense-tile phase the SIMD work targets).
 // The JSON records the host's vector features and the dispatch choice so
@@ -360,8 +359,8 @@ int run_pr8_mode(bool smoke, int repeat, const std::string& out_path) {
   const SimdLevel level = simd_level();
   std::printf("cpu: avx2=%d avx512f=%d dispatch=%s\n", cpu_has_avx2() ? 1 : 0,
               cpu_has_avx512() ? 1 : 0, simd_level_name(level));
-  std::printf("%-12s %-14s %10s %10s %10s %8s %8s\n", "problem", "coeff", "scalar_ms", "simd_ms",
-              "lanes2_ms", "speedup", "sweep_x");
+  std::printf("%-12s %-14s %10s %10s %8s %8s\n", "problem", "coeff", "scalar_ms", "simd_ms",
+              "speedup", "sweep_x");
 
   std::string json = "{\n  \"bench\": \"pr8_simd_kernel\",\n";
   json += "  \"cpu\": {\"avx2\": " + std::string(cpu_has_avx2() ? "true" : "false") +
@@ -371,48 +370,44 @@ int run_pr8_mode(bool smoke, int repeat, const std::string& out_path) {
 
   for (const Pr8Row& row : kPr8Rows) {
     if (smoke && !row.smoke) continue;
-    PolySystem sys = load_with_order(row.problem, OrderKind::kGrLex);
+    const OrderKind order = OrderKind::kGrLex;
+    PolySystem sys = load_with_order(row.problem, order);
     CoeffOptions coeff = CoeffOptions::zp(prime);
-    GbConfig simd_cfg;
-    simd_cfg.coeff = coeff;
-    simd_cfg.matrix_reduce = true;
-    GbConfig lanes_cfg = simd_cfg;
-    lanes_cfg.matrix_threads = 2;
+    GbConfig cfg;
+    cfg.coeff = coeff;
+    cfg.matrix_reduce = true;
 
-    Pr8Timing sc = pr8_time_scalar(sys, simd_cfg, reps);
-    Pr8Timing vec = pr8_time(sys, simd_cfg, reps);
-    Pr8Timing ln = pr8_time(sys, lanes_cfg, reps);
+    Pr8Timing sc = pr8_time_scalar(sys, cfg, reps);
+    Pr8Timing vec = pr8_time(sys, cfg, reps);
 
-    // All three configurations must reach the bit-identical reduced basis.
+    // Both dispatch levels must reach the bit-identical reduced basis.
     std::vector<Polynomial> want = reduce_basis(sys.ctx, sc.result.basis, coeff);
-    for (const Pr8Timing* other : {&vec, &ln}) {
-      std::vector<Polynomial> got = reduce_basis(sys.ctx, other->result.basis, coeff);
-      bool equal = want.size() == got.size();
-      for (std::size_t i = 0; equal && i < want.size(); ++i) equal = want[i].equals(got[i]);
-      if (!equal) {
-        std::fprintf(stderr, "FAIL: %s: dispatch configs disagree on the reduced basis\n",
-                     sys.name.c_str());
-        return 1;
-      }
+    std::vector<Polynomial> got = reduce_basis(sys.ctx, vec.result.basis, coeff);
+    bool equal = want.size() == got.size();
+    for (std::size_t i = 0; equal && i < want.size(); ++i) equal = want[i].equals(got[i]);
+    if (!equal) {
+      std::fprintf(stderr, "FAIL: %s: dispatch configs disagree on the reduced basis\n",
+                   sys.name.c_str());
+      return 1;
     }
 
     double speedup = vec.run_ms > 0 ? sc.run_ms / vec.run_ms : 0;
     double sweep_x = vec.sweep_ms > 0 ? sc.sweep_ms / vec.sweep_ms : 0;
     std::string coeff_name = "zp:" + std::to_string(prime);
-    std::printf("%-12s %-14s %10.2f %10.2f %10.2f %7.2fx %7.2fx\n", sys.name.c_str(),
-                coeff_name.c_str(), sc.run_ms, vec.run_ms, ln.run_ms, speedup, sweep_x);
+    std::printf("%-12s %-14s %10.2f %10.2f %7.2fx %7.2fx\n", sys.name.c_str(),
+                coeff_name.c_str(), sc.run_ms, vec.run_ms, speedup, sweep_x);
     std::fflush(stdout);
 
     char buf[640];
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"order\": \"grevlex\", \"coeff\": \"%s\", "
-        "\"reps\": %d, \"scalar_ms\": %.3f, \"simd_ms\": %.3f, \"threads2_ms\": %.3f, "
+        "    {\"name\": \"%s\", \"order\": \"%s\", \"coeff\": \"%s\", "
+        "\"reps\": %d, \"scalar_ms\": %.3f, \"simd_ms\": %.3f, "
         "\"speedup\": %.4f, \"sweep_scalar_ms\": %.3f, \"sweep_simd_ms\": %.3f, "
         "\"sweep_speedup\": %.4f, \"simd_rows\": %llu, \"scalar_rows\": %llu, "
         "\"simd_cells\": %llu, \"memo_hits\": %llu, \"memo_misses\": %llu}",
-        sys.name.c_str(), coeff_name.c_str(), reps, sc.run_ms, vec.run_ms, ln.run_ms, speedup,
-        sc.sweep_ms, vec.sweep_ms, sweep_x,
+        sys.name.c_str(), order_name(order), coeff_name.c_str(), reps, sc.run_ms, vec.run_ms,
+        speedup, sc.sweep_ms, vec.sweep_ms, sweep_x,
         static_cast<unsigned long long>(vec.stats.simd_rows),
         static_cast<unsigned long long>(sc.stats.scalar_rows),
         static_cast<unsigned long long>(vec.stats.simd_cells),

@@ -71,15 +71,9 @@ struct GbConfig {
   /// multi-modular driver's per-prime jobs); the transition, shared-memory
   /// and pipeline engines reject it.
   bool matrix_reduce = false;
-  /// Cap on pairs per matrix round (matrix_reduce only).
+  /// Cap on pairs per matrix round (matrix_reduce only); at least 1, or the
+  /// sequential and GL-P engines abort.
   std::size_t matrix_batch_max = 64;
-  /// Worker threads for the elimination kernel. The sequential engine uses
-  /// the value directly; the GL-P engines clamp it by the machine's
-  /// per-proc kernel-lane grant (Proc::kernel_lanes — SimMachine grants
-  /// freely and keeps virtual time deterministic by charging the parallel
-  /// makespan, Thread/Socket grant what the host has spare). Results are
-  /// identical for any value.
-  std::size_t matrix_threads = 1;
   /// Abort knob for tests; a correct run never hits it.
   std::uint64_t max_spolys = std::numeric_limits<std::uint64_t>::max();
   /// Cooperative cancellation seam (the serve daemon's deadline/cancel path):

@@ -508,12 +508,6 @@ class GlpWorker {
     }
     EchelonOptions eopts;
     eopts.coeff = cfg_.gb.coeff;
-    // Parallel elimination inside the task: the configured lane count,
-    // clamped by what this machine grants each processor (SimMachine grants
-    // freely and stays deterministic, since the kernel's charges do not
-    // depend on the schedule; Thread/Socket grant the host's spare threads).
-    eopts.nthreads = std::min(std::max<std::size_t>(1, cfg_.gb.matrix_threads),
-                              std::max<std::size_t>(1, self_.kernel_lanes()));
     EchelonOutput eo;
     {
       TraceSpan sp(self_, Ev::kMatEliminate, rows.size());
@@ -1002,6 +996,8 @@ ParallelResult run_on_machine(Machine& machine, bool sim, const PolySystem& sys,
   GBD_CHECK_MSG(!cfg.gb.tail_reduce, "GL-P does not support tail_reduce");
   GBD_CHECK_MSG(!cfg.gb.interreduce_input, "GL-P does not support interreduce_input");
   GBD_CHECK_MSG(cfg.gb.stop == nullptr, "GL-P runs to completion and does not support stop");
+  GBD_CHECK_MSG(!cfg.gb.matrix_reduce || cfg.gb.matrix_batch_max >= 1,
+                "matrix_batch_max must be at least 1");
 
   // Canonical inputs, preloaded identically everywhere with owner-0 ids.
   std::vector<std::pair<PolyId, Polynomial>> inputs;

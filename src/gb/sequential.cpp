@@ -49,6 +49,9 @@ class AccountingObserver final : public ReduceObserver {
 SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg) {
   SequentialResult res;
   const PolyContext& ctx = sys.ctx;
+  // A zero cap would pop no pair and loop forever.
+  GBD_CHECK_MSG(!cfg.matrix_reduce || cfg.matrix_batch_max >= 1,
+                "matrix_batch_max must be at least 1");
   CostScope total;
 
   // G = F, canonicalized for the configured coefficient ring. Over Zp an
@@ -185,7 +188,6 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
                     "groebner_sequential exceeded max_spolys");
       EchelonOptions eopts;
       eopts.coeff = cfg.coeff;
-      eopts.nthreads = cfg.matrix_threads;
       const std::uint64_t axpys_before = matrix_kernel_stats().axpys;
       EchelonOutput eo;
       if (cfg.coeff.is_zp()) {

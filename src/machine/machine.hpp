@@ -120,15 +120,6 @@ class Proc {
   /// and may send), so backoff can never cause a premature shutdown.
   virtual void backoff(std::uint64_t units) { charge(units); }
 
-  /// How many worker threads this processor may spin up for an elimination
-  /// kernel (poly/echelon.hpp nthreads) on top of its own thread. 1 = run
-  /// the kernel inline. The simulator grants freely — the kernel's cost
-  /// convention (a Zp matrix charges its counts, the exact sweep its
-  /// slowest lane's total) keeps virtual time deterministic for any grant;
-  /// real backends grant what the host has spare so P procs × L lanes never
-  /// oversubscribe. Engines clamp their configured matrix_threads by this.
-  virtual std::size_t kernel_lanes() const { return 1; }
-
   /// Current time: virtual units (SimMachine) or wall nanoseconds
   /// (ThreadMachine).
   virtual std::uint64_t now() = 0;

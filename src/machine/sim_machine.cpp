@@ -161,13 +161,6 @@ class SimMachine::SimProc final : public Proc {
     clock_ += units * scale_;
   }
 
-  /// Unbounded grant: the elimination kernel charges the parallel makespan
-  /// (max per-lane tally) whatever the lane count, so virtual time stays a
-  /// pure function of the configuration — never of the host's cores.
-  std::size_t kernel_lanes() const override {
-    return std::numeric_limits<std::size_t>::max();
-  }
-
   std::uint64_t now() override {
     drain_cost();
     return clock_;

@@ -153,8 +153,6 @@ class ThreadMachine::ThreadProc final : public Proc {
     mb.waiting = false;
   }
 
-  std::size_t kernel_lanes() const override { return machine_->kernel_lanes_; }
-
   std::uint64_t now() override { return wall_ns() - machine_->epoch_ns_; }
 
   void yield() override { std::this_thread::yield(); }
@@ -220,17 +218,7 @@ class ThreadMachine::ThreadProc final : public Proc {
   friend class ThreadMachine;
 };
 
-ThreadMachine::ThreadMachine(int nprocs, std::size_t kernel_lanes) : nprocs_(nprocs) {
-  GBD_CHECK(nprocs >= 1);
-  if (kernel_lanes == 0) {
-    // Auto: split the host's concurrency evenly across the procs' own
-    // threads so kernels never oversubscribe the box.
-    std::size_t hw = std::thread::hardware_concurrency();
-    kernel_lanes_ = std::max<std::size_t>(1, hw / static_cast<std::size_t>(nprocs));
-  } else {
-    kernel_lanes_ = kernel_lanes;
-  }
-}
+ThreadMachine::ThreadMachine(int nprocs) : nprocs_(nprocs) { GBD_CHECK(nprocs >= 1); }
 
 ThreadMachine::~ThreadMachine() = default;
 

@@ -38,11 +38,7 @@ namespace gbd {
 
 class ThreadMachine final : public Machine {
  public:
-  /// `kernel_lanes` is the per-processor elimination-kernel thread grant
-  /// (Proc::kernel_lanes): 0 = auto, the host's spare concurrency divided
-  /// evenly (max(1, hardware_concurrency / nprocs)), so P procs with their
-  /// lanes never oversubscribe the box.
-  explicit ThreadMachine(int nprocs, std::size_t kernel_lanes = 0);
+  explicit ThreadMachine(int nprocs);
   ~ThreadMachine() override;
 
   int nprocs() const override { return nprocs_; }
@@ -61,7 +57,6 @@ class ThreadMachine final : public Machine {
   void note_worker_finished(ThreadProc& proc);
 
   int nprocs_;
-  std::size_t kernel_lanes_ = 1;  ///< resolved per-proc grant
   std::vector<std::unique_ptr<ThreadProc>> procs_;
   std::uint64_t epoch_ns_ = 0;
 

@@ -117,12 +117,6 @@ class SocketMachine::SocketProc final : public Proc {
     comm_.idle_units += now() - t0;
   }
 
-  std::size_t kernel_lanes() const override {
-    std::size_t lanes = machine_->cfg_.kernel_lanes;
-    if (lanes == 0) lanes = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    return lanes;
-  }
-
   std::uint64_t now() override { return steady_ns() - machine_->epoch_ns_; }
 
   void yield() override { std::this_thread::yield(); }

@@ -60,11 +60,6 @@ namespace gbd {
 
 struct SocketMachineConfig {
   NetConfig net;
-  /// Per-rank elimination-kernel thread grant (Proc::kernel_lanes). Each
-  /// rank is its own OS process, so unlike ThreadMachine the host's
-  /// concurrency is not divided by the rank count here; 0 = auto
-  /// (max(1, hardware_concurrency)).
-  std::size_t kernel_lanes = 0;
 };
 
 class SocketMachine final : public Machine {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <thread>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -27,7 +26,6 @@ struct SweepTally {
   std::uint64_t simd_passes = 0;
   std::uint64_t cache_builds = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t cost = 0;  // term-operation units this worker charged (exact sweep)
 };
 
 /// A Zp row in column space: strictly increasing frame columns, each with a
@@ -223,8 +221,8 @@ void combine_zp(const ZpField& field, ZpColRow* row, const ZpColRow& piv, ZpColR
 /// Lazily expanded pivot products for the exact sweep: slot pv holds the
 /// term run of mult·reducer (coefficients verbatim, monomials multiplied
 /// through), built at first touch and reused for every later row that hits
-/// the same pivot column. One cache per worker thread — reuse is amortized
-/// across that worker's rows with no synchronization.
+/// the same pivot column. One cache per matrix — reuse is amortized across
+/// its rows.
 using ExactPivotCache = std::vector<std::unique_ptr<std::vector<Term>>>;
 
 /// The exact sweep's column of each frame monomial, built once per matrix.
@@ -259,7 +257,7 @@ Polynomial sweep_row_exact(const PolyContext& ctx, const SymbolicFrame& frame,
       b = -b;
     }
     b = -b;
-    // Expand mult·reducer once per (worker, pivot); later touches skip the
+    // Expand mult·reducer once per pivot; later touches skip the
     // per-term monomial multiplications (axpy's dominant non-BigInt cost).
     std::unique_ptr<std::vector<Term>>& slot = (*cache)[static_cast<std::size_t>(pv)];
     if (slot == nullptr) {
@@ -383,85 +381,56 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
   const bool blocks = zp && field.delayed_reduction_ok();
   const SimdLevel level = mat.simd_lanes ? simd_level() : SimdLevel::kScalar;
 
-  // Stage 1: pivot sweep, parallel across rows. Each worker owns its
-  // accumulator, exact-pivot cache and tally, and forms its blocks from its
-  // own rows; slot i of `swept` (Zp) or `reduced` (exact) is written by
-  // exactly one worker.
+  // Stage 1: pivot sweep, on the caller's thread. Nonempty rows go into
+  // blocks in row order; slot i of `swept` (Zp) or `reduced` (exact) holds
+  // row i's result.
   std::vector<ZpColRow> swept(zp ? nrows : 0);
   std::vector<Polynomial> reduced(zp ? 0 : nrows);
-  std::size_t nthreads = std::max<std::size_t>(1, opts.nthreads);
-  nthreads = std::min(nthreads, std::max<std::size_t>(1, nrows));
-  std::vector<SweepTally> tallies(nthreads);
+  SweepTally tally;
+  std::vector<std::uint64_t> acc;
+  if (zp) acc.assign(blocks ? kSweepLanes * mat.ncols : mat.ncols, 0);
   ColIndex col_of;
+  ExactPivotCache cache;
   if (!zp) {
     col_of.reserve(frame.ncols());
     for (std::uint32_t c = 0; c < frame.ncols(); ++c) col_of.emplace(frame.cols[c], c);
+    cache.resize(frame.pivots.size());
   }
-
-  auto sweep_range = [&](std::size_t t) {
-    SweepTally& tally = tallies[t];
-    CostScope scope;
-    std::vector<std::uint64_t> acc;
-    if (zp) acc.assign(blocks ? kSweepLanes * mat.ncols : mat.ncols, 0);
-    ExactPivotCache cache;
-    if (!zp) cache.resize(frame.pivots.size());
-    SweepBlock block;
-    for (std::size_t i = t; i < nrows; i += nthreads) {
-      const MatrixRow& row = mat.work_rows[i];
-      if (row.empty()) continue;
-      if (blocks) {
-        block.rows[block.size] = &row;
-        block.out[block.size] = &swept[i];
-        if (++block.size == kSweepLanes) {
-          sweep_block_zp(frame, mat, field, block, keep_heads, level, &acc, &tally);
-          block.size = 0;
-        }
-      } else if (zp) {
-        // Every cell left of the head is zero, so a sweep may as well start
-        // at the head.
-        const std::size_t start = row.cols[0] + (keep_heads ? 1 : 0);
-        swept[i] = sweep_row_zp(frame, mat, field, row, start, &acc, &tally);
-      } else {
-        reduced[i] = sweep_row_exact(ctx, frame, col_of, row, &cache, &tally);
-      }
-    }
-    if (block.size > 0) sweep_block_zp(frame, mat, field, block, keep_heads, level, &acc, &tally);
-    tally.cost = scope.elapsed();
-  };
 
   const auto sweep_t0 = std::chrono::steady_clock::now();
-  if (nthreads == 1) {
-    sweep_range(0);
-  } else {
-    // Exact workers charge their own thread-local cost counters, which die
-    // with the threads; the caller is charged the slowest worker's total
-    // below (parallel makespan, same convention as the machine backends).
-    // Zp workers charge nothing: their counts are charged after stage 2.
-    std::vector<std::thread> workers;
-    workers.reserve(nthreads);
-    for (std::size_t t = 0; t < nthreads; ++t) workers.emplace_back(sweep_range, t);
-    for (auto& w : workers) w.join();
-    std::uint64_t makespan = 0;
-    for (const auto& tally : tallies) makespan = std::max(makespan, tally.cost);
-    CostCounter::charge(makespan);
+  SweepBlock block;
+  for (std::size_t i = 0; i < nrows; ++i) {
+    const MatrixRow& row = mat.work_rows[i];
+    if (row.empty()) continue;
+    if (blocks) {
+      block.rows[block.size] = &row;
+      block.out[block.size] = &swept[i];
+      if (++block.size == kSweepLanes) {
+        sweep_block_zp(frame, mat, field, block, keep_heads, level, &acc, &tally);
+        block.size = 0;
+      }
+    } else if (zp) {
+      // Every cell left of the head is zero, so a sweep may as well start
+      // at the head.
+      const std::size_t start = row.cols[0] + (keep_heads ? 1 : 0);
+      swept[i] = sweep_row_zp(frame, mat, field, row, start, &acc, &tally);
+    } else {
+      reduced[i] = sweep_row_exact(ctx, frame, col_of, row, &cache, &tally);
+    }
   }
+  if (block.size > 0) sweep_block_zp(frame, mat, field, block, keep_heads, level, &acc, &tally);
   const auto stage2_t0 = std::chrono::steady_clock::now();
   st.sweep_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(stage2_t0 - sweep_t0).count());
-  std::uint64_t axpy_cells = 0, dense_cells = 0;
-  for (const auto& tally : tallies) {
-    axpy_cells += tally.axpy_cells;
-    dense_cells += tally.dense_cells;
-    st.axpys += tally.axpys;
-    st.axpy_cells += tally.axpy_cells;
-    st.dense_cells += tally.dense_cells;
-    st.simd_rows += tally.simd_rows;
-    st.scalar_rows += tally.scalar_rows;
-    st.simd_cells += tally.simd_cells;
-    st.simd_passes += tally.simd_passes;
-    st.pivot_cache_builds += tally.cache_builds;
-    st.pivot_cache_hits += tally.cache_hits;
-  }
+  st.axpys += tally.axpys;
+  st.axpy_cells += tally.axpy_cells;
+  st.dense_cells += tally.dense_cells;
+  st.simd_rows += tally.simd_rows;
+  st.scalar_rows += tally.scalar_rows;
+  st.simd_cells += tally.simd_cells;
+  st.simd_passes += tally.simd_passes;
+  st.pivot_cache_builds += tally.cache_builds;
+  st.pivot_cache_hits += tally.cache_hits;
 
   // Stage 2: row echelon of the surviving rows. Rows are processed in
   // descending head order (ties by src) so an accepted row can never be
@@ -487,8 +456,9 @@ EchelonOutput echelon(const PolyContext& ctx, const SymbolicFrame& frame,
     }
     st.merge_cells += merge_cells;
     // DESIGN.md §20's sweep and stage-2 terms, from this matrix's counts:
-    // the same for any dispatch, blocking or thread count.
-    CostCounter::charge(axpy_cells + dense_cells / 8 + (ctx.nvars() + 1) * merge_cells);
+    // the same for any dispatch or blocking.
+    CostCounter::charge(tally.axpy_cells + tally.dense_cells / 8 +
+                        (ctx.nvars() + 1) * merge_cells);
     std::sort(alive.begin(), alive.end(),
               [](const auto& a, const auto& b) { return a.second < b.second; });
     out.rows.reserve(alive.size());

@@ -1,11 +1,11 @@
 // Blocked sparse row-echelon kernel over a Macaulay matrix (matrix.hpp).
 //
-// Stage 1 — pivot sweep. Every work row is reduced against the (triangular)
-// pivot block independently, left to right over the columns, which makes the
-// stage embarrassingly parallel across rows (row i goes to worker i mod n):
-//   · Zp, p < 2^32: the block sweep. Each worker takes its nonempty rows
-//     kSweepLanes at a time and scatters them into one lane-interleaved
-//     accumulator (GBLA's multiline idea on the C block). One left-to-right
+// Stage 1 — pivot sweep, on the caller's thread. Every work row is reduced
+// against the (triangular) pivot block independently, left to right over the
+// columns:
+//   · Zp, p < 2^32: the block sweep. The nonempty rows go in row order,
+//     kSweepLanes at a time, into one lane-interleaved accumulator (GBLA's
+//     multiline idea on the C block). One left-to-right
 //     pass finalizes each cell once (`% p`), and streams each pivot any lane
 //     hits once per block through the delayed-reduction lane AXPY of
 //     poly/simd.hpp, which leaves the lanes merely *congruent* mod p. Each
@@ -50,12 +50,6 @@ struct EchelonOptions {
   CoeffOptions coeff;
   /// Combine surviving rows with equal head monomials (stage 2).
   bool interreduce = true;
-  /// Worker threads for the pivot sweep (1 = run on the caller). Results are
-  /// identical for any thread count, and so are the units a Zp matrix
-  /// charges (they come from its counts, DESIGN.md §20). The exact sweep
-  /// charges the caller the *maximum* per-thread work, modeling parallel
-  /// makespan.
-  std::size_t nthreads = 1;
 };
 
 struct EchelonOutput {

@@ -10,6 +10,7 @@
 #include "gb/modular.hpp"
 #include "gb/parallel.hpp"
 #include "gb/pipeline.hpp"
+#include "gb/sequential.hpp"
 #include "gb/shared_memory.hpp"
 #include "gb/transition.hpp"
 #include "io/parse.hpp"
@@ -152,6 +153,31 @@ TEST(ContractsDeathTest, ModularDriverRejectsConfigItHasNoPathFor) {
     c.set(&cfg.gb);
     EXPECT_DEATH({ auto r = groebner_multimodular(sys, cfg); (void)r; }, c.message);
   }
+}
+
+TEST(ContractsDeathTest, ZeroMatrixBatchCapAborts) {
+  // A matrix round capped at zero pairs pops none, so the queue would never
+  // drain. Both matrix engines reject the cap up front, and the
+  // multi-modular driver does through its per-prime sequential runs.
+  PolySystem sys = load_problem("katsura4");
+  GbConfig gb;
+  gb.matrix_reduce = true;
+  gb.matrix_batch_max = 0;
+  for (const CoeffOptions& coeff : {CoeffOptions{}, CoeffOptions::zp(32003)}) {
+    GbConfig seq = gb;
+    seq.coeff = coeff;
+    EXPECT_DEATH({ auto r = groebner_sequential(sys, seq); (void)r; },
+                 "matrix_batch_max must be at least 1");
+    ParallelConfig cfg;
+    cfg.nprocs = 2;
+    cfg.gb = seq;
+    EXPECT_DEATH({ auto r = groebner_parallel(sys, cfg); (void)r; },
+                 "matrix_batch_max must be at least 1");
+  }
+  ModularConfig mc;
+  mc.gb = gb;
+  EXPECT_DEATH({ auto r = groebner_multimodular(sys, mc); (void)r; },
+               "matrix_batch_max must be at least 1");
 }
 
 TEST(ContractsDeathTest, BaselineEnginesRejectConfigTheyHaveNoPathFor) {

@@ -181,20 +181,18 @@ TEST(MatrixNormalFormTest, CorpusGenerators) {
 
 /// Run the sequential engine both ways and compare canonical reduced bases.
 void expect_equal_reduced_basis(const PolySystem& sys, const CoeffOptions& coeff,
-                                std::size_t batch_max, std::size_t threads) {
+                                std::size_t batch_max) {
   GbConfig per_poly;
   per_poly.coeff = coeff;
   GbConfig matrix = per_poly;
   matrix.matrix_reduce = true;
   matrix.matrix_batch_max = batch_max;
-  matrix.matrix_threads = threads;
 
   SequentialResult a = groebner_sequential(sys, per_poly);
   SequentialResult b = groebner_sequential(sys, matrix);
   std::vector<Polynomial> ga = reduce_basis(sys.ctx, a.basis, coeff);
   std::vector<Polynomial> gb = reduce_basis(sys.ctx, b.basis, coeff);
-  std::string label = sys.name + " batch_max " + std::to_string(batch_max) + " threads " +
-                      std::to_string(threads);
+  std::string label = sys.name + " batch_max " + std::to_string(batch_max);
   ASSERT_EQ(ga.size(), gb.size()) << label;
   for (std::size_t i = 0; i < ga.size(); ++i) {
     EXPECT_TRUE(ga[i].equals(gb[i])) << label << " element " << i;
@@ -203,31 +201,30 @@ void expect_equal_reduced_basis(const PolySystem& sys, const CoeffOptions& coeff
 
 TEST(MatrixSequentialTest, CorpusReducedBasesMatchExact) {
   for (const char* name : {"arnborg4", "katsura4", "trinks2", "rose"}) {
-    expect_equal_reduced_basis(load_problem(name), CoeffOptions{}, 64, 1);
+    expect_equal_reduced_basis(load_problem(name), CoeffOptions{}, 64);
   }
 }
 
 TEST(MatrixSequentialTest, CorpusReducedBasesMatchZp) {
   for (const char* name : {"arnborg4", "katsura4", "trinks1", "rose"}) {
     for (std::uint64_t p : {kPrimes[0], kPrimes[2]}) {
-      expect_equal_reduced_basis(load_problem(name), CoeffOptions::zp(p), 64, 1);
+      expect_equal_reduced_basis(load_problem(name), CoeffOptions::zp(p), 64);
     }
   }
 }
 
-TEST(MatrixSequentialTest, TinyBatchesAndThreadsDoNotChangeResults) {
-  // batch_max 2 forces many small rounds (frame reuse across degrees);
-  // threads 3 exercises the parallel pivot sweep's determinism claim.
+TEST(MatrixSequentialTest, TinyBatchesDoNotChangeResults) {
+  // batch_max 2 and 3 force many small rounds (frame reuse across degrees).
   PolySystem sys = load_problem("katsura4");
-  expect_equal_reduced_basis(sys, CoeffOptions{}, 2, 1);
-  expect_equal_reduced_basis(sys, CoeffOptions::zp(kPrimes[0]), 2, 3);
-  expect_equal_reduced_basis(load_problem("arnborg4"), CoeffOptions::zp(kPrimes[2]), 3, 2);
+  expect_equal_reduced_basis(sys, CoeffOptions{}, 2);
+  expect_equal_reduced_basis(sys, CoeffOptions::zp(kPrimes[0]), 2);
+  expect_equal_reduced_basis(load_problem("arnborg4"), CoeffOptions::zp(kPrimes[2]), 3);
 }
 
 TEST(MatrixSequentialTest, ParametricFamiliesMatch) {
   // Generated (not table-text) inputs, one size beyond the builtin corpus.
-  expect_equal_reduced_basis(load_problem("katsura(5)"), CoeffOptions::zp(kPrimes[0]), 64, 1);
-  expect_equal_reduced_basis(load_problem("cyclic(5)"), CoeffOptions::zp(kPrimes[0]), 64, 1);
+  expect_equal_reduced_basis(load_problem("katsura(5)"), CoeffOptions::zp(kPrimes[0]), 64);
+  expect_equal_reduced_basis(load_problem("cyclic(5)"), CoeffOptions::zp(kPrimes[0]), 64);
 }
 
 TEST(MatrixGlpTest, SimMatchesSequentialOracle) {
@@ -296,18 +293,6 @@ TEST(MatrixCostParityTest, ChargedUnitsArePinned) {
   }
 }
 
-TEST(MatrixCostParityTest, ThreadedSweepChargesArePinned) {
-  // Three sweep workers write column rows in parallel. A Zp matrix charges
-  // its counts, which no thread count changes: the one-thread figure above.
-  GbConfig cfg;
-  cfg.coeff = CoeffOptions::zp(kPrimes[0]);
-  cfg.matrix_reduce = true;
-  cfg.matrix_threads = 3;
-  SequentialResult r = groebner_sequential(load_problem("katsura(5)"), cfg);
-  EXPECT_EQ(r.stats.work_units, 476719u);
-  EXPECT_EQ(r.elapsed_units, 476719u);
-}
-
 TEST(MatrixGlpTest, ChaosScheduleStaysCoherent) {
   // Full-intensity schedule adversary: jitter, reordering, duplication of
   // the idempotent handlers, starvation. Matrix rounds must neither serve
@@ -342,7 +327,7 @@ TEST(MatrixGlpTest, ChaosScheduleStaysCoherent) {
   }
 }
 
-// ——— PR-8: vectorized sweep, dispatch pinning, frame memo, kernel lanes ———
+// ——— Vectorized sweep, dispatch pinning, frame memo ———
 
 TEST(SimdDispatchTest, EnvVarForcesScalarAndBack) {
   {
@@ -473,12 +458,11 @@ void expect_same_output(const EchelonOutput& a, const EchelonOutput& b, const st
 }
 
 TEST(BlockSweepTest, BlockBoundariesMatchOracleUnderEveryDispatch) {
-  // The block sweep packs each worker's nonempty rows kSweepLanes at a time,
-  // so batches of 1–9 rows with empty rows between them, split over 1–3
-  // workers, give full and partial blocks whose lanes start at different
-  // heads. Automatic dispatch, pinned-scalar lanes and the per-poly oracle
-  // must agree row for row, in both sweep modes; the last prime takes the
-  // Montgomery row sweep instead.
+  // The block sweep packs the nonempty rows kSweepLanes at a time, so
+  // batches of 1–9 rows with empty rows between them give full and partial
+  // blocks whose lanes start at different heads. Automatic dispatch,
+  // pinned-scalar lanes and the per-poly oracle must agree row for row, in
+  // both sweep modes; the last prime takes the Montgomery row sweep instead.
   const std::uint64_t primes[] = {3, (std::uint64_t{1} << 31) - 1,
                                   prev_prime_u64(std::uint64_t{1} << 32),
                                   prev_prime_u64(std::uint64_t{1} << 62)};
@@ -509,49 +493,45 @@ TEST(BlockSweepTest, BlockBoundariesMatchOracleUnderEveryDispatch) {
         ReduceOptions ropts;
         ropts.tail_reduce = true;
         ropts.coeff = zp;
-        for (std::size_t threads : {1u, 2u, 3u}) {
-          const std::string label = "seed " + std::to_string(seed) + " mod " +
-                                    std::to_string(p) + " rows " + std::to_string(k) +
-                                    " threads " + std::to_string(threads);
-          EchelonOptions opts;
-          opts.coeff = zp;
-          opts.interreduce = false;  // one output row per input row
-          opts.nthreads = threads;
-          EchelonOutput got = reduce_batch(sys.ctx, rows, set, opts);
-          std::vector<Polynomial> tails = reduce_tails(sys.ctx, monic, set, opts);
-          {
-            ScopedSimdEnv scalar("1");
-            expect_same_output(got, reduce_batch(sys.ctx, rows, set, opts), label + " scalar");
-            std::vector<Polynomial> tails_scalar = reduce_tails(sys.ctx, monic, set, opts);
-            ASSERT_EQ(tails.size(), tails_scalar.size()) << label;
-            for (std::size_t i = 0; i < tails.size(); ++i) {
-              EXPECT_TRUE(tails[i].equals(tails_scalar[i])) << label << " tails scalar " << i;
-            }
+        const std::string label = "seed " + std::to_string(seed) + " mod " +
+                                  std::to_string(p) + " rows " + std::to_string(k);
+        EchelonOptions opts;
+        opts.coeff = zp;
+        opts.interreduce = false;  // one output row per input row
+        EchelonOutput got = reduce_batch(sys.ctx, rows, set, opts);
+        std::vector<Polynomial> tails = reduce_tails(sys.ctx, monic, set, opts);
+        {
+          ScopedSimdEnv scalar("1");
+          expect_same_output(got, reduce_batch(sys.ctx, rows, set, opts), label + " scalar");
+          std::vector<Polynomial> tails_scalar = reduce_tails(sys.ctx, monic, set, opts);
+          ASSERT_EQ(tails.size(), tails_scalar.size()) << label;
+          for (std::size_t i = 0; i < tails.size(); ++i) {
+            EXPECT_TRUE(tails[i].equals(tails_scalar[i])) << label << " tails scalar " << i;
           }
+        }
 
-          ASSERT_EQ(got.src_zeroed.size(), rows.size()) << label;
-          std::size_t next = 0;
-          for (std::size_t s = 0; s < rows.size(); ++s) {
-            const Polynomial want = reduce_full(sys.ctx, rows[s], set, ropts).poly;
-            if (want.is_zero()) {
-              // An empty work row is not "eliminated": it had nothing to lose.
-              EXPECT_EQ(got.src_zeroed[s], !rows[s].is_zero()) << label << " row " << s;
-              continue;
-            }
-            EXPECT_FALSE(got.src_zeroed[s]) << label << " row " << s;
-            ASSERT_LT(next, got.rows.size()) << label << " row " << s;
-            EXPECT_EQ(got.rows[next].src, s) << label;
-            EXPECT_TRUE(got.rows[next].poly.equals(want)) << label << " row " << s;
-            ++next;
+        ASSERT_EQ(got.src_zeroed.size(), rows.size()) << label;
+        std::size_t next = 0;
+        for (std::size_t s = 0; s < rows.size(); ++s) {
+          const Polynomial want = reduce_full(sys.ctx, rows[s], set, ropts).poly;
+          if (want.is_zero()) {
+            // An empty work row is not "eliminated": it had nothing to lose.
+            EXPECT_EQ(got.src_zeroed[s], !rows[s].is_zero()) << label << " row " << s;
+            continue;
           }
-          EXPECT_EQ(next, got.rows.size()) << label;
+          EXPECT_FALSE(got.src_zeroed[s]) << label << " row " << s;
+          ASSERT_LT(next, got.rows.size()) << label << " row " << s;
+          EXPECT_EQ(got.rows[next].src, s) << label;
+          EXPECT_TRUE(got.rows[next].poly.equals(want)) << label << " row " << s;
+          ++next;
+        }
+        EXPECT_EQ(next, got.rows.size()) << label;
 
-          ASSERT_EQ(tails.size(), monic.size()) << label;
-          for (std::size_t i = 0; i < monic.size(); ++i) {
-            KeepHeadSet keep(set, monic[i].hmono());
-            EXPECT_TRUE(tails[i].equals(reduce_full(sys.ctx, monic[i], keep, ropts).poly))
-                << label << " tails row " << i;
-          }
+        ASSERT_EQ(tails.size(), monic.size()) << label;
+        for (std::size_t i = 0; i < monic.size(); ++i) {
+          KeepHeadSet keep(set, monic[i].hmono());
+          EXPECT_TRUE(tails[i].equals(reduce_full(sys.ctx, monic[i], keep, ropts).poly))
+              << label << " tails row " << i;
         }
       }
     }
@@ -592,7 +572,7 @@ TEST(MatrixSequentialTest, ForcedScalarMatchesAutoDispatchAndMemoEngages) {
   }
 }
 
-TEST(MatrixGlpTest, KernelLanesAreDeterministicOnSimAndMatchOracle) {
+TEST(MatrixGlpTest, SimIsDeterministicAndMatchesOracle) {
   PolySystem sys = load_problem("katsura4");
   CoeffOptions coeff = CoeffOptions::zp(kPrimes[0]);
   GbConfig seq;
@@ -604,31 +584,26 @@ TEST(MatrixGlpTest, KernelLanesAreDeterministicOnSimAndMatchOracle) {
   cfg.gb.coeff = coeff;
   cfg.gb.matrix_reduce = true;
   cfg.gb.matrix_batch_max = 8;
-  cfg.gb.matrix_threads = 3;  // sim grants lanes freely
   cfg.nprocs = 4;
   cfg.seed = 3;
   ParallelResult r1 = groebner_parallel(sys, cfg);
   ParallelResult r2 = groebner_parallel(sys, cfg);
-  // Virtual time must be a pure function of the configuration — real lane
-  // threads may interleave arbitrarily, but a Zp matrix charges its counts,
-  // which are schedule-independent.
+  // Virtual time must be a pure function of the configuration: a Zp matrix
+  // charges its counts, which are schedule-independent.
   EXPECT_EQ(r1.machine.makespan, r2.machine.makespan);
-
-  cfg.gb.matrix_threads = 1;
-  ParallelResult r3 = groebner_parallel(sys, cfg);
-  for (const ParallelResult* r : {&r1, &r3}) {
-    std::vector<Polynomial> got = reduce_basis(sys.ctx, r->basis, coeff);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_TRUE(got[i].equals(want[i])) << "element " << i;
-    }
+  std::vector<Polynomial> got = reduce_basis(sys.ctx, r1.basis, coeff);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].equals(want[i])) << "element " << i;
   }
 }
 
-TEST(MatrixGlpTest, ThreadBackendKernelLanesMatchOracle) {
-  // Real threads under the elimination kernel (the TSan job runs this):
-  // lanes share nothing but the frame and matrix, so any missing
-  // synchronization shows up as a race or a wrong basis.
+TEST(MatrixGlpTest, ThreadBackendMatchesOracle) {
+  // Matrix rounds on real processor threads (the TSan job runs this): each
+  // proc sweeps its own matrices against its basis replica while the others
+  // send it invalidations and fetches, so a frame or matrix that reads
+  // shared state without synchronization shows up as a race or a wrong
+  // basis.
   PolySystem sys = load_problem("arnborg4");
   CoeffOptions coeff = CoeffOptions::zp(kPrimes[0]);
   GbConfig seq;
@@ -640,13 +615,9 @@ TEST(MatrixGlpTest, ThreadBackendKernelLanesMatchOracle) {
   cfg.gb.coeff = coeff;
   cfg.gb.matrix_reduce = true;
   cfg.gb.matrix_batch_max = 8;
-  cfg.gb.matrix_threads = 2;
   cfg.nprocs = 2;
   cfg.seed = 5;
-  // Explicit 2-lane grant: the auto grant divides the host's cores and
-  // would silently degrade to 1 lane on small boxes, skipping the very
-  // path under test.
-  ThreadMachine machine(cfg.nprocs, /*kernel_lanes=*/2);
+  ThreadMachine machine(cfg.nprocs);
   ParallelResult res = groebner_parallel_machine(machine, sys, cfg);
   std::vector<Polynomial> got = reduce_basis(sys.ctx, res.basis, coeff);
   ASSERT_EQ(got.size(), want.size());
@@ -692,32 +663,28 @@ TEST(MatrixStageTwoTest, ColumnSpaceMatchesPolynomialOracle) {
         for (bool force_scalar : {false, true}) {
           std::optional<ScopedSimdEnv> scalar;
           if (force_scalar) scalar.emplace("1");
-          for (std::size_t threads : {1u, 3u}) {
-            const std::string label = std::string(name) + " " + order_name(order) + " mod " +
-                                      std::to_string(p) + (force_scalar ? " scalar" : " auto") +
-                                      " threads " + std::to_string(threads);
-            SymbolicFrame frame = symbolic_preprocess(sys.ctx, rows, set);
-            MacaulayMatrix mat =
-                build_matrix(sys.ctx, frame, rows, zp, matrix_wants_simd_lanes(zp));
-            EchelonOptions on;
-            on.coeff = zp;
-            on.nthreads = threads;
-            EchelonOptions off = on;
-            off.interreduce = false;
+          const std::string label = std::string(name) + " " + order_name(order) + " mod " +
+                                    std::to_string(p) + (force_scalar ? " scalar" : " auto");
+          SymbolicFrame frame = symbolic_preprocess(sys.ctx, rows, set);
+          MacaulayMatrix mat =
+              build_matrix(sys.ctx, frame, rows, zp, matrix_wants_simd_lanes(zp));
+          EchelonOptions on;
+          on.coeff = zp;
+          EchelonOptions off = on;
+          off.interreduce = false;
 
-            const std::uint64_t axpys0 = matrix_kernel_stats().axpys;
-            EchelonOutput swept = echelon_reduce(sys.ctx, frame, mat, off);
-            const std::uint64_t axpys1 = matrix_kernel_stats().axpys;
-            EchelonOutput got = echelon_reduce(sys.ctx, frame, mat, on);
-            combinations += (matrix_kernel_stats().axpys - axpys1) - (axpys1 - axpys0);
-            EchelonOutput want = oracle::zp_interreduce_polys(sys.ctx, field, std::move(swept));
+          const std::uint64_t axpys0 = matrix_kernel_stats().axpys;
+          EchelonOutput swept = echelon_reduce(sys.ctx, frame, mat, off);
+          const std::uint64_t axpys1 = matrix_kernel_stats().axpys;
+          EchelonOutput got = echelon_reduce(sys.ctx, frame, mat, on);
+          combinations += (matrix_kernel_stats().axpys - axpys1) - (axpys1 - axpys0);
+          EchelonOutput want = oracle::zp_interreduce_polys(sys.ctx, field, std::move(swept));
 
-            EXPECT_EQ(got.src_zeroed, want.src_zeroed) << label;
-            ASSERT_EQ(got.rows.size(), want.rows.size()) << label;
-            for (std::size_t i = 0; i < got.rows.size(); ++i) {
-              EXPECT_EQ(got.rows[i].src, want.rows[i].src) << label << " row " << i;
-              EXPECT_TRUE(got.rows[i].poly.equals(want.rows[i].poly)) << label << " row " << i;
-            }
+          EXPECT_EQ(got.src_zeroed, want.src_zeroed) << label;
+          ASSERT_EQ(got.rows.size(), want.rows.size()) << label;
+          for (std::size_t i = 0; i < got.rows.size(); ++i) {
+            EXPECT_EQ(got.rows[i].src, want.rows[i].src) << label << " row " << i;
+            EXPECT_TRUE(got.rows[i].poly.equals(want.rows[i].poly)) << label << " row " << i;
           }
         }
       }
@@ -880,8 +847,8 @@ std::size_t pairs_cancelling_tails(const std::vector<Polynomial>& gens,
 TEST(PairRowTest, PairRowsMatchSpolyRowsEverywhere) {
   // reduce_pairs builds each row from its pair's halves; reduce_batch gets
   // the pair's s-polynomial. Rows, sources and zeroed flags must agree
-  // exactly, for every order, field size, dispatch and thread count, with
-  // stage 2 on and off.
+  // exactly, for every order, field size and dispatch, with stage 2 on and
+  // off.
   const std::uint64_t primes[] = {kPrimes[0], kPrimes[1], kPrimes[2],
                                   prev_prime_u64(std::uint64_t{1} << 62)};
   std::size_t cancelling = 0, empty_rows = 0, zeroed = 0;
@@ -901,21 +868,17 @@ TEST(PairRowTest, PairRowsMatchSpolyRowsEverywhere) {
         for (bool force_scalar : {false, true}) {
           std::optional<ScopedSimdEnv> scalar;
           if (force_scalar) scalar.emplace("1");
-          for (std::size_t threads : {1u, 3u}) {
-            for (bool interreduce : {true, false}) {
-              const std::string label = std::string(name) + " " + order_name(order) + " mod " +
-                                        std::to_string(p) + (force_scalar ? " scalar" : " auto") +
-                                        " threads " + std::to_string(threads) +
-                                        (interreduce ? " stage 2" : " no stage 2");
-              EchelonOptions opts;
-              opts.coeff = zp;
-              opts.nthreads = threads;
-              opts.interreduce = interreduce;
-              const EchelonOutput want = reduce_batch(sys.ctx, rows, set, opts);
-              const EchelonOutput got = reduce_pairs(sys.ctx, pairs, set, opts);
-              expect_same_output(got, want, label);
-              for (bool z : want.src_zeroed) zeroed += z ? 1 : 0;
-            }
+          for (bool interreduce : {true, false}) {
+            const std::string label = std::string(name) + " " + order_name(order) + " mod " +
+                                      std::to_string(p) + (force_scalar ? " scalar" : " auto") +
+                                      (interreduce ? " stage 2" : " no stage 2");
+            EchelonOptions opts;
+            opts.coeff = zp;
+            opts.interreduce = interreduce;
+            const EchelonOutput want = reduce_batch(sys.ctx, rows, set, opts);
+            const EchelonOutput got = reduce_pairs(sys.ctx, pairs, set, opts);
+            expect_same_output(got, want, label);
+            for (bool z : want.src_zeroed) zeroed += z ? 1 : 0;
           }
         }
       }
@@ -990,7 +953,7 @@ std::uint64_t formula_units(const MatrixKernelStats& a, const MatrixKernelStats&
 TEST(MatrixChargeTest, EveryZpBatchChargesTheFormula) {
   // Around one reduce_batch, reduce_pairs or reduce_tails call, the units
   // charged equal the formula on that call's counts, and so do not depend
-  // on dispatch or thread count.
+  // on dispatch.
   std::uint64_t merge_cells = 0;
   for (const char* name : {"katsura(5)", "cyclic(5)", "trinks1"}) {
     PolySystem sys = load_problem(name);
@@ -1004,32 +967,28 @@ TEST(MatrixChargeTest, EveryZpBatchChargesTheFormula) {
       for (bool force_scalar : {false, true}) {
         std::optional<ScopedSimdEnv> scalar;
         if (force_scalar) scalar.emplace("1");
-        for (std::size_t threads : {1u, 3u}) {
-          const std::string label = std::string(name) + " mod " + std::to_string(p) +
-                                    (force_scalar ? " scalar" : " auto") + " threads " +
-                                    std::to_string(threads);
-          EchelonOptions opts;
-          opts.coeff = zp;
-          opts.nthreads = threads;
-          for (int call = 0; call < 3; ++call) {
-            const MatrixKernelStats before = matrix_kernel_stats();
-            CostScope cost;
-            if (call == 0) {
-              reduce_batch(sys.ctx, rows, set, opts);
-            } else if (call == 1) {
-              reduce_pairs(sys.ctx, pairs, set, opts);
-            } else {
-              reduce_tails(sys.ctx, gens, set, opts);
-            }
-            const std::uint64_t units = cost.elapsed();
-            const MatrixKernelStats& after = matrix_kernel_stats();
-            EXPECT_EQ(after.batches - before.batches, 1u) << label << " call " << call;
-            EXPECT_EQ(units, formula_units(before, after, sys.ctx.nvars()))
-                << label << " call " << call;
-            merge_cells += after.merge_cells - before.merge_cells;
-            if (first[call] == 0) first[call] = units;
-            EXPECT_EQ(units, first[call]) << label << " call " << call;
+        const std::string label =
+            std::string(name) + " mod " + std::to_string(p) + (force_scalar ? " scalar" : " auto");
+        EchelonOptions opts;
+        opts.coeff = zp;
+        for (int call = 0; call < 3; ++call) {
+          const MatrixKernelStats before = matrix_kernel_stats();
+          CostScope cost;
+          if (call == 0) {
+            reduce_batch(sys.ctx, rows, set, opts);
+          } else if (call == 1) {
+            reduce_pairs(sys.ctx, pairs, set, opts);
+          } else {
+            reduce_tails(sys.ctx, gens, set, opts);
           }
+          const std::uint64_t units = cost.elapsed();
+          const MatrixKernelStats& after = matrix_kernel_stats();
+          EXPECT_EQ(after.batches - before.batches, 1u) << label << " call " << call;
+          EXPECT_EQ(units, formula_units(before, after, sys.ctx.nvars()))
+              << label << " call " << call;
+          merge_cells += after.merge_cells - before.merge_cells;
+          if (first[call] == 0) first[call] = units;
+          EXPECT_EQ(units, first[call]) << label << " call " << call;
         }
       }
     }

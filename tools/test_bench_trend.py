@@ -86,6 +86,23 @@ class BenchTrendTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("40.000 (pr9) -> 60.000", out)
 
+    def test_history_compares_a_file_with_a_parent_block_against_its_parent(self):
+        # The newest session measured its parent on the same host: 60 -> 55
+        # is a gain there, though 55 is worse than an earlier session's 40.
+        self.write("BENCH_pr1.json", perfbench_doc(latency=40.0))
+        doc = perfbench_doc(latency=55.0)
+        doc["parent"] = {"workloads": perfbench_doc(latency=60.0)["workloads"]}
+        self.write("BENCH_pr2.json", doc)
+        code, out = self.run_trend("-v")
+        self.assertEqual(code, 0, out)
+        self.assertIn("ok  perfbench/solve_zp [latency_ms_mean]v: 60.000 (pr2 parent) -> 55.000",
+                      out)
+        doc["parent"] = {"workloads": perfbench_doc(latency=45.0)["workloads"]}
+        self.write("BENCH_pr2.json", doc)
+        code, out = self.run_trend()
+        self.assertEqual(code, 1, out)
+        self.assertIn("45.000 (pr2 parent) -> 55.000", out)
+
     # ---- --fresh ------------------------------------------------------------
 
     def test_fresh_compares_against_the_committed_best(self):

@@ -74,7 +74,10 @@ struct GbConfig {
   /// Cap on pairs per matrix round (matrix_reduce only); at least 1, or the
   /// sequential and GL-P engines abort.
   std::size_t matrix_batch_max = 64;
-  /// Abort knob for tests; a correct run never hits it.
+  /// Abort knob for tests; a correct run never hits it. Every engine aborts
+  /// once it has formed more s-polynomials than this; under GL-P each
+  /// processor checks its own count, so a run may form up to P times as
+  /// many in all.
   std::uint64_t max_spolys = std::numeric_limits<std::uint64_t>::max();
   /// Cooperative cancellation seam (the serve daemon's deadline/cancel path):
   /// when non-null and the pointee becomes true, the engine stops at the next

@@ -1,18 +1,24 @@
-// Pair bookkeeping for the sequential-side engines: the priority queue gpq,
-// the treated-pair set, and Buchberger's elimination criteria.
+// Pair bookkeeping for Buchberger's loop: the priority queue gpq, the
+// treated-pair set, and Buchberger's elimination criteria.
 //
 // The queue orders pairs by heuristic merit (§3.1: "priority ordering is
 // necessary in gpq, so that heuristic merit can be encoded into priority").
 // The treated-pair set supports the chain criterion: pair (i,j) is
 // superfluous if some basis element k has HMONO(k) | lcm(i,j) and the pairs
-// (i,k) and (j,k) were both treated earlier. Soundness relies on citing only
-// pairs completed strictly earlier, so callers must mark a pair done *after*
-// testing it for pruning.
+// (i,k) and (j,k) were both treated earlier. Only self-grounded treatments
+// may be cited (DESIGN.md §6): reduced pairs and coprime pairs. A chain- or
+// M/F-pruned pair is dropped but never marked treated.
+//
+// PairBook holds all of this for the engines that index the basis by
+// position (sequential, transition, shared-memory, pipeline). GL-P keys its
+// pairs by PolyId and keeps its own distributed queue and treated set, but
+// applies the Gebauer–Möller update through the same gm_split.
 #pragma once
 
 #include <cstdint>
 #include <set>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "gb/engine_common.hpp"
@@ -28,68 +34,6 @@ struct PendingPair {
   std::uint32_t sugar = 0;  ///< pair sugar degree (used by Selection::kSugar)
   std::uint64_t seq = 0;    ///< creation sequence number (FIFO + determinism)
 };
-
-/// Priority queue over PendingPair implementing the Selection strategies.
-/// Deterministic: ties broken by creation sequence.
-class SequentialPairQueue {
- public:
-  SequentialPairQueue(const PolyContext* ctx, Selection selection)
-      : ctx_(ctx), selection_(selection), pairs_(Cmp{this}) {}
-
-  void push(std::uint32_t i, std::uint32_t j, Monomial lcm, std::uint32_t sugar = 0);
-
-  bool empty() const { return pairs_.empty(); }
-  std::size_t size() const { return pairs_.size(); }
-
-  /// Remove and return the best pair under the selection strategy.
-  PendingPair pop_best();
-
-  /// The pair pop_best would return, without removing it. Queue must be
-  /// non-empty. Used by the batched matrix path to gather all pairs of the
-  /// current minimal degree.
-  const PendingPair& peek_best() const;
-
- private:
-  struct Cmp {
-    const SequentialPairQueue* q;
-    bool operator()(const PendingPair& a, const PendingPair& b) const {
-      return q->before(a, b);
-    }
-  };
-
-  bool before(const PendingPair& a, const PendingPair& b) const;
-
-  const PolyContext* ctx_;
-  Selection selection_;
-  std::uint64_t next_seq_ = 0;
-  std::set<PendingPair, Cmp> pairs_;
-};
-
-/// Set of treated (completed) pairs keyed by index pair.
-class DonePairs {
- public:
-  void mark(std::uint32_t i, std::uint32_t j) { done_.insert(key(i, j)); }
-  bool contains(std::uint32_t i, std::uint32_t j) const { return done_.count(key(i, j)) > 0; }
-  std::size_t size() const { return done_.size(); }
-
- private:
-  static std::uint64_t key(std::uint32_t i, std::uint32_t j) {
-    if (i > j) std::swap(i, j);
-    return (static_cast<std::uint64_t>(i) << 32) | j;
-  }
-  std::unordered_set<std::uint64_t> done_;
-};
-
-/// Buchberger's first criterion: coprime head monomials.
-inline bool coprime_criterion(const Monomial& hi, const Monomial& hj) {
-  return Monomial::coprime(hi, hj);
-}
-
-/// Buchberger's second (chain) criterion for pair (i,j) against basis heads:
-/// true if some k (≠ i,j) has heads[k] | lcm and both (i,k) and (j,k) are in
-/// `done`. `heads` is indexed by basis position.
-bool chain_criterion(std::uint32_t i, std::uint32_t j, const Monomial& lcm,
-                     const std::vector<Monomial>& heads, const DonePairs& done);
 
 struct GmPruneCounts {
   std::uint64_t m_rule = 0;
@@ -111,5 +55,89 @@ struct GmPruneCounts {
 std::vector<std::size_t> gm_new_pairs(const PolyContext& ctx,
                                       const std::vector<Monomial>& heads, const Monomial& hr,
                                       GmPruneCounts* counts = nullptr);
+
+/// The Gebauer–Möller update as an engine applies it to a new element with
+/// head `hr`: `kept` are the indices whose pairs are queued; `grounded` are
+/// the dropped indices with coprime heads, which criterion 1 grounds, so
+/// their pairs may be marked treated. M/F drops are in neither list: they
+/// stay uncitable. Both lists ascend.
+struct GmSplit {
+  std::vector<std::size_t> kept;
+  std::vector<std::size_t> grounded;
+};
+
+/// gm_new_pairs plus the grounded list, counting the heads.size() new pairs
+/// into `stats` as created and each drop as pruned (group-coprime drops as
+/// coprime, M/F drops as chain).
+GmSplit gm_split(const PolyContext& ctx, const std::vector<Monomial>& heads,
+                 const Monomial& hr, GbStats* stats);
+
+/// The pair side of Buchberger's loop over a basis indexed by position:
+/// the queue, the treated set, every element's head and sugar, and the pair
+/// counters of GbStats (pairs_created, pairs_pruned_*, spolys_computed). The
+/// engine keeps the reduction counters (reductions_to_zero, basis_added).
+///
+/// Pairs are created in a fixed order — input pairs as (i, j > i), then the
+/// pairs of each added element by ascending i — and the queue breaks ties by
+/// creation order, so every Selection is deterministic.
+class PairBook {
+ public:
+  PairBook(const PolyContext& ctx, const GbConfig& cfg, GbStats* stats);
+
+  /// Record the input elements (heads, and sugar = total degree) and queue
+  /// every pair among them.
+  void seed(const std::vector<Polynomial>& input);
+
+  /// Record g as element heads().size() with the given sugar and create its pairs
+  /// with every earlier element: through gm_split when gm_update is on,
+  /// otherwise every pair is queued.
+  void add(const Polynomial& g, std::uint32_t sugar);
+
+  bool empty() const { return queue_.empty(); }
+  /// The pair pop() would return. Queue must be non-empty.
+  const PendingPair& peek() const;
+  /// Remove and return the best pair under the selection strategy.
+  PendingPair pop();
+
+  /// Screen a popped pair against the enabled criteria. A coprime pair is
+  /// counted and marked treated; a chain-pruned pair is counted but not
+  /// marked. Returns true when the pair must be reduced: it is then counted
+  /// as an s-polynomial, and the run aborts past GbConfig::max_spolys.
+  bool screen(const PendingPair& p);
+
+  /// Mark (i, j) treated once its s-polynomial has been reduced. Kept apart
+  /// from screen() because a matrix round marks its batch only after the
+  /// elimination: until then the chain criterion cannot cite a pair of the
+  /// same round.
+  void treated(std::uint32_t i, std::uint32_t j) { treated_.insert(key(i, j)); }
+  bool is_treated(std::uint32_t i, std::uint32_t j) const { return treated_.count(key(i, j)) > 0; }
+
+  const std::vector<Monomial>& heads() const { return heads_; }
+
+ private:
+  /// Queue order under a Selection; ties by creation sequence.
+  struct Before {
+    const PolyContext* ctx;
+    Selection selection;
+    bool operator()(const PendingPair& a, const PendingPair& b) const;
+  };
+
+  static std::uint64_t key(std::uint32_t i, std::uint32_t j) {
+    if (i > j) std::swap(i, j);
+    return (static_cast<std::uint64_t>(i) << 32) | j;
+  }
+
+  void push(std::uint32_t i, std::uint32_t j);
+  bool chain_prunable(const PendingPair& p) const;
+
+  const PolyContext& ctx_;
+  const GbConfig& cfg_;
+  GbStats* stats_;
+  std::vector<Monomial> heads_;
+  std::vector<std::uint32_t> sugars_;
+  std::uint64_t next_seq_ = 0;
+  std::set<PendingPair, Before> queue_;
+  std::unordered_set<std::uint64_t> treated_;
+};
 
 }  // namespace gbd

@@ -404,8 +404,8 @@ class GlpWorker {
       return std::nullopt;
     }
     if (chain_prunable(task)) {
-      // Not marked done: only self-grounded treatments are citable (see
-      // sequential.cpp on the justification-cycle hazard).
+      // Not marked done: only self-grounded treatments are citable, the
+      // rule PairBook states for the index engines (gb/pairs.hpp).
       out_->stats.pairs_pruned_chain += 1;
       return std::nullopt;
     }
@@ -430,6 +430,8 @@ class GlpWorker {
       out_->stats.work_units += cost.elapsed();
     }
     out_->stats.spolys_computed += 1;
+    GBD_CHECK_MSG(out_->stats.spolys_computed <= cfg_.gb.max_spolys,
+                  "GL-P processor exceeded max_spolys");
     return h;
   }
 
@@ -762,20 +764,9 @@ class GlpWorker {
         heads.push_back(head);
       }
       if (cfg_.gb.gm_update) {
-        out_->stats.pairs_created += others.size();
-        GmPruneCounts gm;
-        std::vector<std::size_t> kept = gm_new_pairs(sys_.ctx, heads, new_head, &gm);
-        out_->stats.pairs_pruned_coprime += gm.coprime;
-        out_->stats.pairs_pruned_chain += gm.m_rule + gm.f_rule;
-        std::vector<bool> keep(others.size(), false);
-        for (std::size_t i : kept) keep[i] = true;
-        for (std::size_t i = 0; i < others.size(); ++i) {
-          if (keep[i]) {
-            enqueue_pair(others[i], m.id, heads[i], new_head);
-          } else if (Monomial::coprime(heads[i], new_head)) {
-            done_.mark(others[i], m.id);  // grounded by criterion 1 only
-          }
-        }
+        GmSplit split = gm_split(sys_.ctx, heads, new_head, &out_->stats);
+        for (std::size_t i : split.kept) enqueue_pair(others[i], m.id, heads[i], new_head);
+        for (std::size_t i : split.grounded) done_.mark(others[i], m.id);
       } else {
         for (std::size_t i = 0; i < others.size(); ++i) {
           create_pair(others[i], m.id, heads[i], new_head);

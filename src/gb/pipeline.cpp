@@ -15,7 +15,7 @@ namespace {
 
 struct Token {
   Polynomial h;
-  std::uint32_t pi = 0, pj = 0;
+  PendingPair pair;
   int unproductive_visits = 0;
 };
 
@@ -55,21 +55,18 @@ PipelineResult groebner_pipeline(const PolySystem& sys, const PipelineConfig& cf
   const int P = cfg.nstages;
 
   // Global basis; each element owned by one stage. The master only keeps the
-  // head index (cheap); bodies live in their stage's partition.
+  // head index (the pair book's heads); bodies live in their stage's
+  // partition.
   std::vector<Polynomial> basis;
-  std::vector<Monomial> heads;
   std::vector<int> owner;
   std::vector<std::vector<std::size_t>> partition(static_cast<std::size_t>(P));
   int next_owner = 0;
 
   auto install = [&](Polynomial g) {
-    std::size_t idx = basis.size();
-    heads.push_back(g.hmono());
+    partition[static_cast<std::size_t>(next_owner)].push_back(basis.size());
     basis.push_back(std::move(g));
     owner.push_back(next_owner);
-    partition[static_cast<std::size_t>(next_owner)].push_back(idx);
     next_owner = (next_owner + 1) % P;
-    return idx;
   };
 
   for (const auto& p : sys.polys) {
@@ -79,14 +76,8 @@ PipelineResult groebner_pipeline(const PolySystem& sys, const PipelineConfig& cf
     install(std::move(q));
   }
 
-  SequentialPairQueue gpq(&ctx, gb.selection);
-  DonePairs done;
-  for (std::uint32_t i = 0; i < basis.size(); ++i) {
-    for (std::uint32_t j = i + 1; j < basis.size(); ++j) {
-      gpq.push(i, j, Monomial::lcm(heads[i], heads[j]));
-      res.stats.pairs_created += 1;
-    }
-  }
+  PairBook gpq(ctx, gb, &res.stats);
+  gpq.seed(basis);
 
   std::vector<Token> tokens;
   std::vector<std::uint64_t> stage_free(static_cast<std::size_t>(P), 0);
@@ -119,16 +110,8 @@ PipelineResult groebner_pipeline(const PolySystem& sys, const PipelineConfig& cf
       case Ev::kMasterPop: {
         if (gpq.empty() || inflight >= cfg.inflight) break;  // retriggered later
         std::uint64_t t = std::max(ev.time, master_free);
-        PendingPair pair = gpq.pop_best();
-        if (gb.coprime_criterion && coprime_criterion(heads[pair.i], heads[pair.j])) {
-          res.stats.pairs_pruned_coprime += 1;
-          done.mark(pair.i, pair.j);
-          master_free = t + 1;
-          post(master_free, Ev::kMasterPop);
-          break;
-        }
-        if (gb.chain_criterion && chain_criterion(pair.i, pair.j, pair.lcm, heads, done)) {
-          res.stats.pairs_pruned_chain += 1;
+        PendingPair pair = gpq.pop();
+        if (!gpq.screen(pair)) {
           master_free = t + 1;
           post(master_free, Ev::kMasterPop);
           break;
@@ -144,11 +127,10 @@ PipelineResult groebner_pipeline(const PolySystem& sys, const PipelineConfig& cf
         h.make_primitive();
         t += cost.elapsed();
         res.stats.work_units += cost.elapsed();
-        res.stats.spolys_computed += 1;
         master_free = t;
 
         std::size_t tok = tokens.size();
-        tokens.push_back(Token{std::move(h), pair.i, pair.j, 0});
+        tokens.push_back(Token{std::move(h), std::move(pair), 0});
         inflight += 1;
         if (tokens[tok].h.is_zero()) {
           post(t, Ev::kReturn, 0, tok, true);
@@ -208,7 +190,7 @@ PipelineResult groebner_pipeline(const PolySystem& sys, const PipelineConfig& cf
         Token& tok = tokens[ev.token];
         if (ev.zero) {
           res.stats.reductions_to_zero += 1;
-          done.mark(tok.pi, tok.pj);
+          gpq.treated(tok.pair.i, tok.pair.j);
           inflight -= 1;
           master_free = t + 1;
           post(master_free, Ev::kMasterPop);
@@ -217,7 +199,7 @@ PipelineResult groebner_pipeline(const PolySystem& sys, const PipelineConfig& cf
         // The master's head index is complete: if an element added behind
         // the token can still reduce it, send it around again.
         bool reducible = false;
-        for (const Monomial& hm : heads) {
+        for (const Monomial& hm : gpq.heads()) {
           if (hm.divides(tok.h.hmono())) {
             reducible = true;
             break;
@@ -231,30 +213,11 @@ PipelineResult groebner_pipeline(const PolySystem& sys, const PipelineConfig& cf
         }
         // Genuine normal form: install it in the next partition and create
         // the new pairs (master knows all heads).
-        std::uint64_t m = basis.size();
-        Monomial new_head = tok.h.hmono();
-        res.stats.pairs_created += m;
-        std::vector<bool> keep(m, true);
-        if (gb.gm_update) {
-          GmPruneCounts gm;
-          std::vector<std::size_t> kept = gm_new_pairs(ctx, heads, new_head, &gm);
-          keep.assign(m, false);
-          for (std::size_t i : kept) keep[i] = true;
-          res.stats.pairs_pruned_coprime += gm.coprime;
-          res.stats.pairs_pruned_chain += gm.m_rule + gm.f_rule;
-        }
         res.ring_bytes += tok.h.wire_size();  // body travels to its new owner
-        std::size_t idx = install(std::move(tok.h));
+        gpq.add(tok.h, tok.pair.sugar);
+        install(std::move(tok.h));
         res.stats.basis_added += 1;
-        done.mark(tok.pi, tok.pj);
-        for (std::uint32_t i = 0; i < m; ++i) {
-          if (keep[i]) {
-            gpq.push(i, static_cast<std::uint32_t>(idx),
-                     Monomial::lcm(heads[i], heads[idx]));
-          } else if (coprime_criterion(heads[i], heads[idx])) {
-            done.mark(i, static_cast<std::uint32_t>(idx));
-          }
-        }
+        gpq.treated(tok.pair.i, tok.pair.j);
         inflight -= 1;
         post(master_free, Ev::kMasterPop);
         break;

@@ -69,27 +69,8 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
     basis = interreduce(ctx, std::move(basis), cfg.coeff);
   }
 
-  std::vector<Monomial> heads;
-  for (const auto& g : basis) heads.push_back(g.hmono());
-
-  // Sugar degrees (Giovini et al.): an input's sugar is its total degree; a
-  // pair's sugar is max over both sides of sugar + deg(lcm/head); an added
-  // normal form inherits its pair's sugar. Tracked unconditionally (cheap),
-  // used when cfg.selection == kSugar.
-  std::vector<std::uint32_t> sugars;
-  for (const auto& g : basis) {
-    std::uint32_t d = 0;
-    for (const auto& t : g.terms()) d = std::max(d, t.mono.degree());
-    sugars.push_back(d);
-  }
-  auto pair_sugar = [&](std::uint32_t i, std::uint32_t j, const Monomial& lcm) {
-    std::uint32_t si = sugars[i] + lcm.degree() - heads[i].degree();
-    std::uint32_t sj = sugars[j] + lcm.degree() - heads[j].degree();
-    return std::max(si, sj);
-  };
-
-  SequentialPairQueue queue(&ctx, cfg.selection);
-  DonePairs done;
+  PairBook book(ctx, cfg, &res.stats);
+  book.seed(basis);
   AccountingObserver observer(&res.reducers, &res.stats);
   VectorReducerSet reducer_set(&basis);
   ReduceOptions ropts;
@@ -97,65 +78,12 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
   ropts.use_geobuckets = cfg.use_geobuckets;
   ropts.coeff = cfg.coeff;
 
-  // gpq = all unordered pairs over the input.
-  for (std::uint32_t i = 0; i < basis.size(); ++i) {
-    for (std::uint32_t j = i + 1; j < basis.size(); ++j) {
-      Monomial l = Monomial::lcm(heads[i], heads[j]);
-      std::uint32_t sugar = pair_sugar(i, j, l);
-      queue.push(i, j, std::move(l), sugar);
-      res.stats.pairs_created += 1;
-    }
-  }
-
-  // Augment the basis with a reduced nonzero element and enqueue pairs with
-  // every existing element, filtered by the Gebauer–Möller update when
-  // enabled. Dropped pairs count as treated — the criteria certify their
-  // standard representation.
+  // Augment the basis with a reduced nonzero element; the book creates its
+  // pairs. An added normal form inherits its pair's sugar.
   auto augment = [&](Polynomial poly, std::uint32_t sugar) {
-    std::uint32_t m = static_cast<std::uint32_t>(basis.size());
-    Monomial new_head = poly.hmono();
-    res.stats.pairs_created += m;
-    std::vector<bool> keep(m, true);
-    if (cfg.gm_update) {
-      GmPruneCounts gm;
-      std::vector<std::size_t> kept = gm_new_pairs(ctx, heads, new_head, &gm);
-      keep.assign(m, false);
-      for (std::size_t i : kept) keep[i] = true;
-      res.stats.pairs_pruned_coprime += gm.coprime;
-      res.stats.pairs_pruned_chain += gm.m_rule + gm.f_rule;
-    }
-    heads.push_back(new_head);
-    sugars.push_back(sugar);
+    book.add(poly, sugar);
     basis.push_back(std::move(poly));
     res.stats.basis_added += 1;
-    for (std::uint32_t i = 0; i < m; ++i) {
-      if (keep[i]) {
-        Monomial l = Monomial::lcm(heads[i], heads[m]);
-        std::uint32_t s = pair_sugar(i, m, l);
-        queue.push(i, m, std::move(l), s);
-      } else if (coprime_criterion(heads[i], heads[m])) {
-        done.mark(i, m);  // grounded by criterion 1; M/F drops stay uncitable
-      }
-    }
-  };
-
-  // Elimination criteria for a popped pair. Only *self-grounded* treatments
-  // enter `done` (coprime pairs — criterion 1 needs no other pair — and
-  // actually reduced pairs): letting a chain- or GM-pruned pair be cited by
-  // a later chain-criterion application can close a justification cycle
-  // where two pruned pairs certify each other and neither is ever reduced,
-  // silently producing a non-basis. Pruned-but-ungrounded pairs are dropped.
-  auto pruned = [&](const PendingPair& pair) {
-    if (cfg.coprime_criterion && coprime_criterion(heads[pair.i], heads[pair.j])) {
-      res.stats.pairs_pruned_coprime += 1;
-      done.mark(pair.i, pair.j);
-      return true;
-    }
-    if (cfg.chain_criterion && chain_criterion(pair.i, pair.j, pair.lcm, heads, done)) {
-      res.stats.pairs_pruned_chain += 1;
-      return true;
-    }
-    return false;
   };
 
   // One monomial table for the whole run: adjacent matrix rounds share most
@@ -163,7 +91,7 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
   // only grows.
   SymbolicTable matrix_table;
 
-  while (!queue.empty()) {
+  while (!book.empty()) {
     if (cfg.stop != nullptr && cfg.stop->load(std::memory_order_relaxed)) {
       res.aborted = true;
       break;
@@ -172,20 +100,17 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
       // Batch round: every queued pair of the current minimal lcm degree
       // (the F4 selection), reduced together as one Macaulay matrix. The
       // criteria still screen pair-by-pair; chain applications within a
-      // round cannot cite same-round pairs (done-marking happens after the
-      // elimination), which is conservative but sound.
-      const std::uint32_t deg = queue.peek_best().lcm.degree();
+      // round cannot cite same-round pairs (the batch is marked treated
+      // after the elimination), which is conservative but sound.
+      const std::uint32_t deg = book.peek().lcm.degree();
       std::vector<PendingPair> batch;
-      while (!queue.empty() && batch.size() < cfg.matrix_batch_max &&
-             queue.peek_best().lcm.degree() == deg) {
-        PendingPair pair = queue.pop_best();
-        if (!pruned(pair)) batch.push_back(std::move(pair));
+      while (!book.empty() && batch.size() < cfg.matrix_batch_max &&
+             book.peek().lcm.degree() == deg) {
+        PendingPair pair = book.pop();
+        if (book.screen(pair)) batch.push_back(std::move(pair));
       }
       if (batch.empty()) continue;
 
-      res.stats.spolys_computed += batch.size();
-      GBD_CHECK_MSG(res.stats.spolys_computed <= cfg.max_spolys,
-                    "groebner_sequential exceeded max_spolys");
       EchelonOptions eopts;
       eopts.coeff = cfg.coeff;
       const std::uint64_t axpys_before = matrix_kernel_stats().axpys;
@@ -206,7 +131,7 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
         eo = reduce_batch(ctx, rows, reducer_set, eopts, &matrix_table);
       }
       res.stats.reduction_steps += matrix_kernel_stats().axpys - axpys_before;
-      for (const PendingPair& pair : batch) done.mark(pair.i, pair.j);
+      for (const PendingPair& pair : batch) book.treated(pair.i, pair.j);
       res.stats.reductions_to_zero += batch.size() - eo.rows.size();
       for (EchelonOutput::NewRow& nr : eo.rows) {
         augment(std::move(nr.poly), batch[nr.src].sugar);
@@ -214,16 +139,12 @@ SequentialResult groebner_sequential(const PolySystem& sys, const GbConfig& cfg)
       continue;
     }
 
-    PendingPair pair = queue.pop_best();
-    if (pruned(pair)) continue;
+    PendingPair pair = book.pop();
+    if (!book.screen(pair)) continue;
 
     Polynomial h = spoly(ctx, basis[pair.i], basis[pair.j], cfg.coeff);
-    res.stats.spolys_computed += 1;
-    GBD_CHECK_MSG(res.stats.spolys_computed <= cfg.max_spolys,
-                  "groebner_sequential exceeded max_spolys");
-
     ReduceOutcome red = reduce_full(ctx, std::move(h), reducer_set, ropts, &observer);
-    done.mark(pair.i, pair.j);
+    book.treated(pair.i, pair.j);
 
     if (red.poly.is_zero()) {
       res.stats.reductions_to_zero += 1;

@@ -21,7 +21,7 @@ struct Worker {
   bool parked = false;
   // In-flight reduct and its originating pair.
   Polynomial h;
-  std::uint32_t pi = 0, pj = 0;
+  PendingPair pair;
 };
 
 }  // namespace
@@ -36,23 +36,15 @@ SharedMemoryResult groebner_shared(const PolySystem& sys, const SharedMemoryConf
 
   // Shared state.
   std::vector<Polynomial> basis;
-  std::vector<Monomial> heads;
   for (const auto& p : sys.polys) {
     if (p.is_zero()) continue;
     Polynomial q = p;
     q.make_primitive();
-    heads.push_back(q.hmono());
     basis.push_back(std::move(q));
   }
-  SequentialPairQueue gpq(&ctx, gb.selection);
-  DonePairs done;
+  PairBook gpq(ctx, gb, &res.stats);
+  gpq.seed(basis);
   VectorReducerSet reducer_set(&basis);
-  for (std::uint32_t i = 0; i < basis.size(); ++i) {
-    for (std::uint32_t j = i + 1; j < basis.size(); ++j) {
-      gpq.push(i, j, Monomial::lcm(heads[i], heads[j]));
-      res.stats.pairs_created += 1;
-    }
-  }
 
   std::uint64_t pq_free = 0;     // pair-queue lock release time
   std::uint64_t basis_free = 0;  // basis writer lock release time
@@ -84,32 +76,22 @@ SharedMemoryResult groebner_shared(const PolySystem& sys, const SharedMemoryConf
           w.parked = true;
           return;
         }
-        PendingPair pair = gpq.pop_best();
+        PendingPair pair = gpq.pop();
         pq_free = w.clock;
-        if (gb.coprime_criterion && coprime_criterion(heads[pair.i], heads[pair.j])) {
-          res.stats.pairs_pruned_coprime += 1;
-          done.mark(pair.i, pair.j);
-          return;  // stay in kFetch
-        }
-        if (gb.chain_criterion && chain_criterion(pair.i, pair.j, pair.lcm, heads, done)) {
-          res.stats.pairs_pruned_chain += 1;
-          return;
-        }
+        if (!gpq.screen(pair)) return;  // stay in kFetch
         CostScope cost;
         w.h = spoly(ctx, basis[pair.i], basis[pair.j]);
         w.h.make_primitive();
         w.clock += cost.elapsed();
         res.stats.work_units += cost.elapsed();
-        res.stats.spolys_computed += 1;
-        w.pi = pair.i;
-        w.pj = pair.j;
+        w.pair = std::move(pair);
         w.phase = Phase::kReduce;
         return;
       }
       case Phase::kReduce: {
         if (w.h.is_zero()) {
           res.stats.reductions_to_zero += 1;
-          done.mark(w.pi, w.pj);
+          gpq.treated(w.pair.i, w.pair.j);
           w.phase = Phase::kFetch;
           return;
         }
@@ -141,33 +123,14 @@ SharedMemoryResult groebner_shared(const PolySystem& sys, const SharedMemoryConf
           w.phase = Phase::kReduce;
           return;
         }
-        std::uint32_t m = static_cast<std::uint32_t>(basis.size());
-        Monomial new_head = w.h.hmono();
-        res.stats.pairs_created += m;
-        std::vector<bool> keep(m, true);
-        if (gb.gm_update) {
-          GmPruneCounts gm;
-          std::vector<std::size_t> kept = gm_new_pairs(ctx, heads, new_head, &gm);
-          keep.assign(m, false);
-          for (std::size_t i : kept) keep[i] = true;
-          res.stats.pairs_pruned_coprime += gm.coprime;
-          res.stats.pairs_pruned_chain += gm.m_rule + gm.f_rule;
-        }
-        heads.push_back(new_head);
         basis.push_back(std::move(w.h));
         w.h = Polynomial();
         res.stats.basis_added += 1;
-        done.mark(w.pi, w.pj);
+        gpq.treated(w.pair.i, w.pair.j);
         basis_free = w.clock;
-        // Enqueue the surviving pairs under the pair-queue lock.
+        // Enqueue the new element's surviving pairs under the pair-queue lock.
         lock(&pq_free, w);
-        for (std::uint32_t i = 0; i < m; ++i) {
-          if (keep[i]) {
-            gpq.push(i, m, Monomial::lcm(heads[i], heads[m]));
-          } else if (coprime_criterion(heads[i], heads[m])) {
-            done.mark(i, m);
-          }
-        }
+        gpq.add(basis.back(), w.pair.sugar);
         pq_free = w.clock;
         unpark_all(w.clock);
         w.phase = Phase::kFetch;

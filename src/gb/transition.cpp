@@ -35,48 +35,27 @@ TransitionResult groebner_transition(const PolySystem& sys, const TransitionConf
     q.make_primitive();
     basis.push_back(std::move(q));
   }
-  std::vector<Monomial> heads;
-  for (const auto& g : basis) heads.push_back(g.hmono());
-
-  SequentialPairQueue gpq(&ctx, gb.selection);
-  DonePairs done;
+  PairBook gpq(ctx, gb, &res.stats);
+  gpq.seed(basis);
   VectorReducerSet reducer_set(&basis);
-
-  for (std::uint32_t i = 0; i < basis.size(); ++i) {
-    for (std::uint32_t j = i + 1; j < basis.size(); ++j) {
-      gpq.push(i, j, Monomial::lcm(heads[i], heads[j]));
-      res.stats.pairs_created += 1;
-    }
-  }
 
   // gq: in-flight reducts, each remembering the pair that spawned it.
   struct Reduct {
     Polynomial poly;
-    std::uint32_t from_i, from_j;
+    PendingPair from;
   };
   std::vector<Reduct> gq;
 
   auto fire_spoly = [&] {
     // Selection of the best pair is a heuristic, not a correctness
     // requirement (§3.1) — the axiom allows any pair; we take the best.
-    PendingPair pair = gpq.pop_best();
-    // Only self-grounded treatments enter `done` (see sequential.cpp for the
-    // justification-cycle hazard): coprime prunes yes, chain/GM prunes no.
-    if (gb.coprime_criterion && coprime_criterion(heads[pair.i], heads[pair.j])) {
-      res.stats.pairs_pruned_coprime += 1;
-      done.mark(pair.i, pair.j);
-      return;
-    }
-    if (gb.chain_criterion && chain_criterion(pair.i, pair.j, pair.lcm, heads, done)) {
-      res.stats.pairs_pruned_chain += 1;
-      return;
-    }
+    PendingPair pair = gpq.pop();
+    // A pruned pair never reaches gq; which prunes stay citable by the chain
+    // criterion is PairBook's rule (gb/pairs.hpp).
+    if (!gpq.screen(pair)) return;
     Polynomial s = spoly(ctx, basis[pair.i], basis[pair.j]);
     s.make_primitive();
-    res.stats.spolys_computed += 1;
-    GBD_CHECK_MSG(res.stats.spolys_computed <= gb.max_spolys,
-                  "groebner_transition exceeded max_spolys");
-    gq.push_back(Reduct{std::move(s), pair.i, pair.j});
+    gq.push_back(Reduct{std::move(s), std::move(pair)});
     res.trace.fired_spoly += 1;
   };
 
@@ -94,34 +73,15 @@ TransitionResult groebner_transition(const PolySystem& sys, const TransitionConf
   auto fire_augment = [&](std::size_t t) {
     Reduct r = std::move(gq[t]);
     gq.erase(gq.begin() + static_cast<std::ptrdiff_t>(t));
-    done.mark(r.from_i, r.from_j);
-    std::uint32_t m = static_cast<std::uint32_t>(basis.size());
-    Monomial new_head = r.poly.hmono();
-    res.stats.pairs_created += m;
-    std::vector<bool> keep(m, true);
-    if (gb.gm_update) {
-      GmPruneCounts gm;
-      std::vector<std::size_t> kept = gm_new_pairs(ctx, heads, new_head, &gm);
-      keep.assign(m, false);
-      for (std::size_t i : kept) keep[i] = true;
-      res.stats.pairs_pruned_coprime += gm.coprime;
-      res.stats.pairs_pruned_chain += gm.m_rule + gm.f_rule;
-    }
-    heads.push_back(new_head);
+    gpq.treated(r.from.i, r.from.j);
+    gpq.add(r.poly, r.from.sugar);
     basis.push_back(std::move(r.poly));
     res.stats.basis_added += 1;
-    for (std::uint32_t i = 0; i < m; ++i) {
-      if (keep[i]) {
-        gpq.push(i, m, Monomial::lcm(heads[i], heads[m]));
-      } else if (coprime_criterion(heads[i], heads[m])) {
-        done.mark(i, m);  // grounded by criterion 1; M/F drops stay uncitable
-      }
-    }
     res.trace.fired_augment += 1;
   };
 
   auto fire_discard = [&](std::size_t t) {
-    done.mark(gq[t].from_i, gq[t].from_j);
+    gpq.treated(gq[t].from.i, gq[t].from.j);
     gq.erase(gq.begin() + static_cast<std::ptrdiff_t>(t));
     res.stats.reductions_to_zero += 1;
     res.trace.fired_discard += 1;

@@ -121,7 +121,7 @@ struct VerifyView {
 /// in list order and element r keeps the pairs (i, r), i < r, that
 /// gm_new_pairs keeps against elements 0..r−1. The old-pair deletion B_k is
 /// not applied, which only keeps more pairs. The chain criterion over
-/// DonePairs is deliberately not mixed in (DESIGN.md §23).
+/// the treated set (PairBook) is deliberately not mixed in (DESIGN.md §23).
 bool certify_view(const PolyContext& ctx, const VerifyView& v,
                   const std::vector<Polynomial>& inputs, std::string* why,
                   const CoeffOptions& coeff) {

@@ -180,6 +180,32 @@ TEST(ContractsDeathTest, ZeroMatrixBatchCapAborts) {
                "matrix_batch_max must be at least 1");
 }
 
+TEST(ContractsDeathTest, MaxSpolysStopsEveryEngine) {
+  // Every engine honours the cap: a run that forms a second s-polynomial
+  // aborts. GL-P checks each processor's own count.
+  PolySystem sys = load_problem("trinks2");
+  GbConfig gb;
+  gb.max_spolys = 1;
+  for (bool matrix : {false, true}) {
+    GbConfig seq = gb;
+    seq.matrix_reduce = matrix;
+    EXPECT_DEATH({ auto r = groebner_sequential(sys, seq); (void)r; }, "exceeded max_spolys");
+  }
+  TransitionConfig tc;
+  tc.gb = gb;
+  EXPECT_DEATH({ auto r = groebner_transition(sys, tc); (void)r; }, "exceeded max_spolys");
+  SharedMemoryConfig sc;
+  sc.gb = gb;
+  EXPECT_DEATH({ auto r = groebner_shared(sys, sc); (void)r; }, "exceeded max_spolys");
+  PipelineConfig pc;
+  pc.gb = gb;
+  EXPECT_DEATH({ auto r = groebner_pipeline(sys, pc); (void)r; }, "exceeded max_spolys");
+  ParallelConfig glp;
+  glp.nprocs = 4;
+  glp.gb = gb;
+  EXPECT_DEATH({ auto r = groebner_parallel(sys, glp); (void)r; }, "exceeded max_spolys");
+}
+
 TEST(ContractsDeathTest, BaselineEnginesRejectConfigTheyHaveNoPathFor) {
   // The transition, shared-memory and pipeline engines are exact, per-poly
   // and head-reducing, their pairs carry no sugar, and they cannot stop.

@@ -27,7 +27,7 @@ void check_baseline_config(const GbConfig& gb) {
   GBD_CHECK_MSG(!gb.tail_reduce, "this engine does not support tail_reduce");
   GBD_CHECK_MSG(!gb.interreduce_input, "this engine does not support interreduce_input");
   GBD_CHECK_MSG(gb.selection != Selection::kSugar,
-                "this engine does not support sugar selection (pairs carry no sugar)");
+                "this engine does not support sugar selection (sequential engine only)");
   GBD_CHECK_MSG(gb.stop == nullptr, "this engine runs to completion and does not support stop");
 }
 

@@ -26,8 +26,9 @@ enum class Selection : std::uint8_t {
   kFifo,    ///< creation order (no heuristic) — ablation baseline
   kSugar,   ///< minimal sugar degree (Giovini et al. '91), ties by lcm —
             ///< one of the "wide spectrum" of heuristics §7 discusses.
-            ///< Sequential engine only: pair sugar is not propagated over
-            ///< the wire, so every other engine rejects it.
+            ///< Sequential engine only: GL-P's pairs carry no sugar over
+            ///< the wire, and the transition, shared-memory and pipeline
+            ///< engines keep the paper's selections.
 };
 
 const char* selection_name(Selection s);
@@ -109,7 +110,7 @@ struct GbStats {
 };
 
 /// The transition, shared-memory and pipeline engines are exact-only, reduce
-/// per polynomial, head-only, push every pair with sugar 0 and run to
+/// per polynomial, head-only, never select by sugar and run to
 /// completion: abort on a GbConfig field they have no path for (Zp,
 /// matrix_reduce, tail_reduce, interreduce_input, kSugar, stop) instead of
 /// silently ignoring it.

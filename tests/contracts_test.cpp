@@ -208,7 +208,7 @@ TEST(ContractsDeathTest, MaxSpolysStopsEveryEngine) {
 
 TEST(ContractsDeathTest, BaselineEnginesRejectConfigTheyHaveNoPathFor) {
   // The transition, shared-memory and pipeline engines are exact, per-poly
-  // and head-reducing, their pairs carry no sugar, and they cannot stop.
+  // and head-reducing, never select by sugar, and they cannot stop.
   static const std::atomic<bool> stop{false};
   const ConfigCase cases[] = {
       {[](GbConfig* g) { g->coeff = CoeffOptions::zp(32003); }, "exact-only"},
